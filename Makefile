@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test vet race service-e2e fabric-e2e validate validate-scenarios validate-adaptive bench bench-json bench-check bench-service bench-service-baseline bench-fabric bench-fabric-baseline vulncheck verify
+.PHONY: build test vet race fuzz-smoke service-e2e fabric-e2e validate validate-scenarios validate-adaptive bench bench-json bench-check bench-service bench-service-baseline bench-fabric bench-fabric-baseline vulncheck verify
 
 # Benchmarks the committed BENCH_2.json baseline tracks: the batch kernel
 # (the configs_per_sec headline), sweep throughput, the per-configuration
@@ -29,6 +29,23 @@ race:
 		./internal/lpl ./internal/mobility ./internal/fabric \
 		./internal/adaptive \
 		./cmd/wsnsweep ./cmd/wsnlinkd ./cmd/wsnload
+
+# Fuzz smoke: every Fuzz* target in the service and sweep packages — the
+# spec decoders, the NDJSON row decoder and its fast-path differential
+# check, the CSV reader — for 10 s each (go test -fuzz takes one target
+# per run). Fails when listing a package fails or a package lists no
+# Fuzz* target, so a broken package cannot turn the smoke into a no-op.
+FUZZ_PKGS = ./internal/serve ./internal/sweep
+
+fuzz-smoke:
+	@for pkg in $(FUZZ_PKGS); do \
+		list=$$($(GO) test -list '^Fuzz' $$pkg) || { echo "$$list"; exit 1; }; \
+		targets=$$(echo "$$list" | grep '^Fuzz') || { echo "no Fuzz* target in $$pkg"; exit 1; }; \
+		for target in $$targets; do \
+			echo "fuzz $$pkg $$target"; \
+			$(GO) test -run '^$$' -fuzz "^$$target$$" -fuzztime 10s $$pkg || exit 1; \
+		done; \
+	done
 
 # The daemon e2e suite on its own: boots wsnlinkd on a loopback port and
 # proves cache-hit replay and kill/restart resume are byte-identical.

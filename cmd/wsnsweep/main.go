@@ -599,6 +599,10 @@ func scenarioParams(scn scenario.Spec) json.RawMessage {
 	return data
 }
 
+// rowGate parks a run after a given written row (tests only; see
+// sweep.RowGate).
+var rowGate *sweep.RowGate
+
 // campaignCodec abstracts the dataset schema over the two row shapes so
 // run() streams, resumes and counts rows without caring which simulator
 // family produced them. ReadPrefix must be called before the output file
@@ -657,7 +661,10 @@ func (c *linkCodec) Stream(ctx context.Context, cfgs []stack.Config, opts sweep.
 		}
 		// Flush before the engine checkpoints the row, so the CSV is
 		// always at least as long as the checkpoint says.
-		return c.enc.Flush()
+		if err := c.enc.Flush(); err != nil {
+			return err
+		}
+		return rowGate.Pass(ctx, c.enc.Rows()-1)
 	})
 }
 
@@ -709,7 +716,10 @@ func (c *scenarioCodec) Stream(ctx context.Context, cfgs []stack.Config, opts sw
 			return err
 		}
 		// Same flush-before-checkpoint ordering as the link path.
-		return c.enc.Flush()
+		if err := c.enc.Flush(); err != nil {
+			return err
+		}
+		return rowGate.Pass(ctx, c.enc.Rows()-1)
 	})
 }
 

@@ -8,7 +8,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"wsnlink/internal/sweep"
 )
@@ -59,6 +58,28 @@ func TestRunStdout(t *testing.T) {
 	}
 }
 
+// interruptAfterRow arms the CLI's row gate at row at and returns a
+// context that is canceled once a run parks there: a SIGINT that lands
+// after exactly that row, however fast the host.
+func interruptAfterRow(t *testing.T, at int) context.Context {
+	t.Helper()
+	gate := sweep.NewRowGate(at)
+	rowGate = gate
+	ctx, cancel := context.WithCancel(context.Background())
+	t.Cleanup(func() {
+		cancel()
+		rowGate = nil
+	})
+	go func() {
+		select {
+		case <-gate.Parked():
+			cancel()
+		case <-ctx.Done():
+		}
+	}()
+	return ctx
+}
+
 // TestRunInterruptAndResume simulates the SIGINT-and-restart workflow: a
 // checkpointed sweep is canceled mid-run (the CLI wires SIGINT to context
 // cancellation, so canceling the context exercises the same path), then
@@ -77,24 +98,8 @@ func TestRunInterruptAndResume(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Interrupted run: cancel once the CSV holds a few hundred rows.
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	go func() {
-		for {
-			data, err := os.ReadFile(part)
-			if err == nil && bytes.Count(data, []byte{'\n'}) > 300 {
-				cancel()
-				return
-			}
-			select {
-			case <-ctx.Done():
-				return
-			case <-time.After(time.Millisecond):
-			}
-		}
-	}()
-	err := run(ctx, args("-out", part, "-checkpoint", ck), &discard, &discard)
+	// Interrupted run: cancel once row 300 is written.
+	err := run(interruptAfterRow(t, 300), args("-out", part, "-checkpoint", ck), &discard, &discard)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("interrupted run: err = %v, want context.Canceled", err)
 	}
@@ -105,8 +110,8 @@ func TestRunInterruptAndResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if loaded.Done == 0 || loaded.Done >= 7680 {
-		t.Fatalf("checkpoint Done = %d, want a partial prefix", loaded.Done)
+	if loaded.Done != 300 {
+		t.Fatalf("checkpoint Done = %d, want the 300-row prefix before the interrupt", loaded.Done)
 	}
 
 	// Simulate a torn trailing row from a harder crash: append garbage

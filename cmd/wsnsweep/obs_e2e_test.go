@@ -8,7 +8,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-	"time"
 
 	"wsnlink/internal/obs"
 	"wsnlink/internal/sweep"
@@ -157,28 +156,14 @@ func TestRunManifestSurvivesInterruptAndResume(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Interrupted run: cancel once the CSV holds a few rows.
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	go func() {
-		for {
-			data, err := os.ReadFile(part)
-			if err == nil && bytes.Count(data, []byte{'\n'}) > 20 {
-				cancel()
-				return
-			}
-			select {
-			case <-ctx.Done():
-				return
-			case <-time.After(time.Millisecond):
-			}
-		}
-	}()
-	// -batch 1 emits rows one at a time so the cancel lands mid-campaign;
-	// the resume below runs at the default batch size and must still
-	// produce a byte-identical dataset (batch size is not identity).
-	err = run(ctx, tinyGrid(
-		"-out", part, "-checkpoint", ck, "-metrics-out", partMetrics, "-batch", "1",
+	// Interrupted run: cancel once row 20 is written. -batch 1 with two
+	// workers bounds the configurations simulated ahead of the parked row
+	// (2×workers×batch), so the telemetry snapshot stays partial; the
+	// resume below runs at the default batch size and must still produce a
+	// byte-identical dataset (batch size is not identity).
+	err = run(interruptAfterRow(t, 20), tinyGrid(
+		"-out", part, "-checkpoint", ck, "-metrics-out", partMetrics,
+		"-batch", "1", "-workers", "2",
 	), &discard, &discard)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("interrupted run: err = %v, want context.Canceled", err)
@@ -231,8 +216,8 @@ func TestRunManifestSurvivesInterruptAndResume(t *testing.T) {
 		man.Fast != fullMan.Fast {
 		t.Errorf("identity fields differ: resumed %+v vs full %+v", man, fullMan)
 	}
-	if !man.Resumed || man.ResumedFrom == 0 || man.ResumedFrom >= 120 {
-		t.Errorf("resumed=%v resumedFrom=%d, want a partial resume point", man.Resumed, man.ResumedFrom)
+	if !man.Resumed || man.ResumedFrom != 20 {
+		t.Errorf("resumed=%v resumedFrom=%d, want a resume from row 20", man.Resumed, man.ResumedFrom)
 	}
 	loaded, err := sweep.LoadCheckpoint(ck)
 	if err != nil {

@@ -13,7 +13,8 @@ import (
 // a valid no-op sink — every method checks the receiver first and the nil
 // path performs no work and no allocation.
 type Metrics struct {
-	start time.Time
+	start   time.Time
+	stopped atomic.Int64 // run length in ns, stamped by Stop; 0 while running
 
 	configsDone Counter
 	rowsEmitted Counter
@@ -27,23 +28,45 @@ type Metrics struct {
 	stages [numStages]stageCell
 }
 
-// New returns a Metrics with the standard bucket layout: per-configuration
-// wall time from 100 µs to ~100 s (exponential), window occupancy 1..32
-// (linear).
+// The hub's fixed bucket layouts: per-configuration wall time from 100 µs
+// to ~100 s (exponential), window occupancy 1..32 (linear). Every hub's
+// histograms share these read-only bounds — a service keeps one hub per
+// job for the job's lifetime, so a copy each would be per-job memory.
+var (
+	configWallBounds = ExpBuckets(100e-6, 2, 21)
+	windowOccBounds  = LinearBuckets(1, 1, 32)
+)
+
+// New returns a Metrics with the standard bucket layout.
 func New() *Metrics {
 	return &Metrics{
 		start:      time.Now(),
-		configWall: mustHistogram(ExpBuckets(100e-6, 2, 21)),
-		windowOcc:  mustHistogram(LinearBuckets(1, 1, 32)),
+		configWall: &Histogram{bounds: configWallBounds, buckets: make([]Counter, len(configWallBounds)+1)},
+		windowOcc:  &Histogram{bounds: windowOccBounds, buckets: make([]Counter, len(windowOccBounds)+1)},
 	}
 }
 
-// Uptime returns the wall time since construction (0 for nil).
+// Uptime returns the wall time since construction, frozen once Stop is
+// called (0 for nil).
 func (m *Metrics) Uptime() time.Duration {
 	if m == nil {
 		return 0
 	}
+	if d := m.stopped.Load(); d > 0 {
+		return time.Duration(d)
+	}
 	return time.Since(m.start)
+}
+
+// Stop stamps the end of the run the hub measures: from then on Uptime and
+// every Snapshot's elapsed time and rates are computed against that
+// instant, so a finished run's rates stay fixed instead of decaying with
+// the age of the hub. Only the first call counts.
+func (m *Metrics) Stop() {
+	if m == nil {
+		return
+	}
+	m.stopped.CompareAndSwap(0, max(int64(time.Since(m.start)), 1))
 }
 
 // ObserveConfig records one finished configuration and its wall time.
@@ -103,7 +126,18 @@ func (m *Metrics) StageAddSim(s Stage, seconds float64) {
 		return
 	}
 	m.stages[s].count.Add(1)
-	m.stages[s].ns.Add(int64(seconds * float64(time.Second)))
+	m.stages[s].ns.Add(simNanos(seconds))
+}
+
+// StageAddSimN accounts count samples totalling ns simulated nanoseconds to
+// a simulator-pipeline stage in one update — the flush of a SimStages
+// accumulator.
+func (m *Metrics) StageAddSimN(s Stage, count, ns int64) {
+	if m == nil {
+		return
+	}
+	m.stages[s].count.Add(count)
+	m.stages[s].ns.Add(ns)
 }
 
 // Snapshot captures the current state. It is safe to call concurrently
@@ -113,7 +147,7 @@ func (m *Metrics) Snapshot() Snapshot {
 	if m == nil {
 		return Snapshot{}
 	}
-	elapsed := time.Since(m.start).Seconds()
+	elapsed := m.Uptime().Seconds()
 	s := Snapshot{
 		ElapsedS:    elapsed,
 		ConfigsDone: m.configsDone.Load(),

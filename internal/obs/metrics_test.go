@@ -21,6 +21,11 @@ func TestNilMetricsSafe(t *testing.T) {
 	m.ObserveWindow(3)
 	m.StageAdd(StageDispatch, time.Millisecond)
 	m.StageAddSim(StageQueue, 0.5)
+	m.StageAddSimN(StageQueue, 3, 1500)
+	var st SimStages
+	st.Add(StageMAC, 0.25)
+	st.Flush(m)
+	m.Stop()
 	if got := m.Uptime(); got != 0 {
 		t.Errorf("nil Uptime = %v, want 0", got)
 	}
@@ -77,6 +82,53 @@ func TestMetricsSnapshot(t *testing.T) {
 	}
 	if m.Uptime() <= 0 {
 		t.Error("Uptime should be positive")
+	}
+}
+
+// TestSimStagesFlushBitIdentical: flushing a SimStages accumulator leaves
+// the hub's simulator-stage counts and nanosecond totals exactly as
+// recording every sample with StageAddSim would, including samples that
+// truncate (sub-nanosecond, negative) and an empty flush.
+func TestSimStagesFlushBitIdentical(t *testing.T) {
+	perSample, flushed := New(), New()
+	var acc SimStages
+	samples := []float64{0, 1e-10, 0.0042, 1.0000000009, -3e-10, 0.1 + 0.2, 7.25e-4}
+	for round := 0; round < 3; round++ {
+		for i, v := range samples {
+			s := StageGenerator + Stage((i+round)%int(numSimStages))
+			perSample.StageAddSim(s, v*float64(round+1))
+			acc.Add(s, v*float64(round+1))
+		}
+		acc.Flush(flushed)
+		acc.Flush(flushed) // empty: a no-op
+	}
+	for i := StageGenerator; i < numStages; i++ {
+		w, g := &perSample.stages[i], &flushed.stages[i]
+		if w.count.Load() != g.count.Load() || w.ns.Load() != g.ns.Load() {
+			t.Errorf("stage %s: flushed %d/%dns, per-sample %d/%dns",
+				i, g.count.Load(), g.ns.Load(), w.count.Load(), w.ns.Load())
+		}
+	}
+	if acc != (SimStages{}) {
+		t.Errorf("accumulator not empty after Flush: %+v", acc)
+	}
+}
+
+// TestStopFreezesSnapshot: after Stop, the elapsed time and every rate in
+// a snapshot stay fixed while the hub ages.
+func TestStopFreezesSnapshot(t *testing.T) {
+	m := New()
+	m.ObserveConfig(time.Millisecond)
+	m.IncRows()
+	m.Stop()
+	first := m.Snapshot()
+	time.Sleep(5 * time.Millisecond)
+	m.Stop() // a second Stop does not move the stamp
+	second := m.Snapshot()
+	if first.ElapsedS <= 0 || first.ElapsedS != second.ElapsedS ||
+		first.RowsPerSec != second.RowsPerSec || m.Uptime().Seconds() != first.ElapsedS {
+		t.Fatalf("stopped hub moved: elapsed %v -> %v, rows/s %v -> %v, uptime %v",
+			first.ElapsedS, second.ElapsedS, first.RowsPerSec, second.RowsPerSec, m.Uptime())
 	}
 }
 

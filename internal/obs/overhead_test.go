@@ -13,11 +13,13 @@ func instrumentationSequence(m *Metrics) {
 	m.StageAdd(StageDispatch, 5*time.Microsecond)
 	m.ObserveConfig(2 * time.Millisecond)
 	m.StageAdd(StageSimulate, 2*time.Millisecond)
-	m.StageAddSim(StageGenerator, 0)
-	m.StageAddSim(StageQueue, 0.004)
-	m.StageAddSim(StageMAC, 0.002)
-	m.StageAddSim(StageChannel, 0.003)
-	m.StageAddSim(StageRX, 0.001)
+	var st SimStages // a simulator lane's accumulator, flushed per configuration
+	st.Add(StageGenerator, 0)
+	st.Add(StageQueue, 0.004)
+	st.Add(StageMAC, 0.002)
+	st.Add(StageChannel, 0.003)
+	st.Add(StageRX, 0.001)
+	st.Flush(m)
 	m.AddPackets(400)
 	m.ObserveWindow(3)
 	m.StageAdd(StageReorder, time.Microsecond)

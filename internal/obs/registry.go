@@ -156,6 +156,20 @@ func (v *GaugeVec) With(values ...string) *Gauge {
 	return v.f.child(values).gauge
 }
 
+// Delete drops the series for the given label values, so a family keyed by
+// a short-lived identity (a job) does not keep one series per identity
+// forever. A handle resolved earlier keeps working but is no longer
+// exported; a later With starts a fresh series.
+func (v *GaugeVec) Delete(values ...string) {
+	if v == nil {
+		return
+	}
+	key := strings.Join(values, "\xff")
+	v.f.mu.Lock()
+	delete(v.f.children, key)
+	v.f.mu.Unlock()
+}
+
 // With resolves the histogram series for the given label values.
 func (v *HistogramVec) With(values ...string) *Histogram {
 	if v == nil {

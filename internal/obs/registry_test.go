@@ -66,6 +66,29 @@ func TestRegistryWithReturnsSameSeries(t *testing.T) {
 	}
 }
 
+func TestGaugeVecDeleteDropsSeries(t *testing.T) {
+	r := NewRegistry()
+	v := r.Gauge("y", "", "job")
+	old := v.With("c1")
+	old.Set(3)
+	v.With("c2").Set(4)
+	v.Delete("c1")
+	v.Delete("c9") // unknown values: no-op
+	var buf bytes.Buffer
+	if err := r.WriteText(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if out := buf.String(); strings.Contains(out, `job="c1"`) || !strings.Contains(out, `y{job="c2"} 4`) {
+		t.Fatalf("after Delete(c1):\n%s", out)
+	}
+	old.Add(-3) // a handle resolved before the delete stays usable
+	if fresh := v.With("c1"); fresh == old || fresh.Load() != 0 {
+		t.Fatal("With after Delete must start a fresh series")
+	}
+	var nilVec *GaugeVec
+	nilVec.Delete("c1")
+}
+
 func TestRegistrySchemaCollisionPanics(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("x_total", "", "a")

@@ -71,6 +71,43 @@ type stageCell struct {
 	ns    atomic.Int64
 }
 
+// simNanos converts one simulated-seconds sample to the integer
+// nanoseconds a stage accumulates (truncating, per sample).
+func simNanos(seconds float64) int64 { return int64(seconds * float64(time.Second)) }
+
+// SimStages is a simulator's private accumulator for the simulator-pipeline
+// stages (StageGenerator..StageRX). A simulator adds every packet's stage
+// samples here and flushes once per configuration, so the shared hub sees
+// one update per stage instead of several contended atomics per packet.
+// Each sample is truncated to integer nanoseconds before it is summed,
+// exactly as StageAddSim does, so the flushed totals are bit-identical to
+// recording every sample on the hub. The zero value is empty and ready;
+// it is not safe for concurrent use.
+type SimStages struct {
+	count [numSimStages]int64
+	ns    [numSimStages]int64
+}
+
+const numSimStages = numStages - StageGenerator
+
+// Add records one sample of a simulator-pipeline stage.
+func (a *SimStages) Add(s Stage, seconds float64) {
+	i := s - StageGenerator
+	a.count[i]++
+	a.ns[i] += simNanos(seconds)
+}
+
+// Flush moves the accumulated samples into m (a nil m discards them) and
+// empties the accumulator.
+func (a *SimStages) Flush(m *Metrics) {
+	for i, n := range a.count {
+		if n != 0 {
+			m.StageAddSimN(StageGenerator+Stage(i), n, a.ns[i])
+		}
+	}
+	*a = SimStages{}
+}
+
 // StageSnapshot is the captured state of one stage.
 type StageSnapshot struct {
 	Name    string  `json:"name"`

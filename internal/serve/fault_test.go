@@ -17,6 +17,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"wsnlink/internal/sweep"
 )
 
 var errInjected = errors.New("injected fault")
@@ -358,7 +360,8 @@ func TestWorkerKillAtCheckpointRequeuesAndReplays(t *testing.T) {
 // fresh rather than fail — and still end byte-identical.
 func TestOpenFailureOnSpoolPrefixStartsFresh(t *testing.T) {
 	fsys := &faultFS{}
-	s := openFaultServer(t, t.TempDir(), Options{Jobs: 1}, fsys)
+	gate := sweep.NewRowGate(1)
+	s := openFaultServer(t, t.TempDir(), Options{Jobs: 1, rowGate: gate}, fsys)
 	spec := slowSpec()
 	want := refLines(t, quickSpec())
 
@@ -367,9 +370,7 @@ func TestOpenFailureOnSpoolPrefixStartsFresh(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Submit: %v", err)
 	}
-	waitFor(t, "some progress", func() bool {
-		return mustStatus(t, s, st.ID).Done > 0
-	})
+	parkedAt(t, gate)
 	if _, err := s.Cancel(st.ID); err != nil {
 		t.Fatalf("Cancel: %v", err)
 	}

@@ -7,6 +7,8 @@ import (
 	"net/http"
 	"testing"
 	"time"
+
+	"wsnlink/internal/sweep"
 )
 
 // TestClientStreamRowsAcrossDaemonRestart kills a daemon outright — server
@@ -39,7 +41,8 @@ func TestClientStreamRowsAcrossDaemonRestart(t *testing.T) {
 
 	// The daemon under test: serve.Server + real TCP listener, restartable
 	// on a fixed address.
-	srv1, err := Open(dir, Options{})
+	gate := sweep.NewRowGate(2)
+	srv1, err := Open(dir, Options{rowGate: gate})
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
@@ -68,17 +71,12 @@ func TestClientStreamRowsAcrossDaemonRestart(t *testing.T) {
 	restarted := make(chan struct{})
 	go func() {
 		defer close(restarted)
-		// Kill once the stream has made some progress.
-		deadline0 := time.Now().Add(30 * time.Second)
-		for {
-			if s, err := srv1.Status(st.ID); err == nil && s.Done >= 3 {
-				break
-			}
-			if time.Now().After(deadline0) {
-				t.Error("timed out waiting for first rows")
-				return
-			}
-			time.Sleep(2 * time.Millisecond)
+		// Kill while the campaign is parked mid-stream.
+		select {
+		case <-gate.Parked():
+		case <-time.After(30 * time.Second):
+			t.Error("timed out waiting for first rows")
+			return
 		}
 		dctx, dcancel := context.WithTimeout(context.Background(), 20*time.Second)
 		srv1.Drain(dctx) //nolint:errcheck // the restart is the point

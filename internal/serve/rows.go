@@ -18,18 +18,20 @@ import (
 // cache-hit replay is byte-identical to the original live stream.
 func (s *Server) StreamRows(ctx context.Context, id string, after int, send func(index int, fields []string) error) error {
 	s.mu.Lock()
-	e, ok := s.jobs[id]
+	e, kept := s.entryLocked(id)
 	s.mu.Unlock()
-	if !ok {
+	if e == nil {
 		return ErrNotFound
 	}
 
 	// Tailer accounting and the per-row stream instruments. With telemetry
 	// disabled the handles are nil and the hot loop below keeps the plain
 	// send — no timing, no wrapper, zero overhead.
-	if active, rows, stalls := s.tel.tailerHandles(id); active != nil {
-		active.Add(1)
-		defer active.Add(-1)
+	if active, rows, stalls := s.tel.tailerHandles(id, kept); rows != nil {
+		if active != nil {
+			active.Add(1)
+			defer active.Add(-1)
+		}
 		inner := send
 		send = func(index int, fields []string) error {
 			start := time.Now()
@@ -103,15 +105,20 @@ func (s *Server) StreamRows(ctx context.Context, id string, after int, send func
 		}
 	}
 	for {
-		if err := drain(); err != nil {
-			return err
+		// A terminal job's dataset is complete: one drain finishes it,
+		// without arming the notifier.
+		s.mu.Lock()
+		terminal := e.job.State.Terminal()
+		s.mu.Unlock()
+		if terminal {
+			return drain()
 		}
 		ch := e.notify.Wait()
 		if err := drain(); err != nil {
 			return err
 		}
 		s.mu.Lock()
-		terminal := e.job.State.Terminal()
+		terminal = e.job.State.Terminal()
 		s.mu.Unlock()
 		if terminal {
 			return drain()

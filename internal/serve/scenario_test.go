@@ -100,13 +100,14 @@ func TestScenarioSubmitStreamCompletes(t *testing.T) {
 // campaign, resubmit the identical spec, and require the final dataset to
 // match an uninterrupted engine run exactly.
 func TestScenarioCancelKeepsCheckpointAndResumes(t *testing.T) {
-	s := openServer(t, t.TempDir(), Options{})
+	gate := sweep.NewRowGate(2)
+	s := openServer(t, t.TempDir(), Options{rowGate: gate})
 	spec := slowStarSpec()
 	st, err := s.Submit(spec)
 	if err != nil {
 		t.Fatalf("Submit: %v", err)
 	}
-	waitFor(t, "progress before cancel", func() bool { return mustStatus(t, s, st.ID).Done >= 2 })
+	parkedAt(t, gate)
 	if _, err := s.Cancel(st.ID); err != nil {
 		t.Fatalf("Cancel: %v", err)
 	}
@@ -120,8 +121,8 @@ func TestScenarioCancelKeepsCheckpointAndResumes(t *testing.T) {
 	if err != nil {
 		t.Fatalf("LoadCheckpoint after cancel: %v", err)
 	}
-	if ck.Done == 0 {
-		t.Fatal("cancel left no checkpointed prefix")
+	if ck.Done != gate.At {
+		t.Fatalf("cancel at row %d left %d checkpointed rows, want %d", gate.At, ck.Done, gate.At)
 	}
 
 	re, err := s.Submit(spec)

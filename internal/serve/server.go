@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"log/slog"
 	"os"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -55,6 +56,9 @@ type Options struct {
 	// published into it and cache lookups fall back to it, so a fleet of
 	// runners shares one content-addressed result set.
 	Blobs BlobStore
+
+	// rowGate parks a local job after a given spooled row (tests only).
+	rowGate *sweep.RowGate
 }
 
 // jobEntry pairs a durable job record with its live run state. The record
@@ -69,8 +73,20 @@ type jobEntry struct {
 	enqueuedMs int64 // when the job (re)entered the queue, for queue-wait
 	prog       sweep.Progress
 	metrics    *obs.Metrics
-	notify     *notifier
+	notify     notifier
+	durable    bool // finished and its final record is on disk
 }
+
+// leavable reports whether the entry holds nothing its durable record does
+// not: a finished job this process did not run (a cache hit, a
+// deduplicated or queue-canceled job, one finished in an earlier daemon
+// life). Jobs this process ran carry a metrics snapshot that exists only
+// in memory.
+func (e *jobEntry) leavable() bool { return e.durable && e.metrics == nil }
+
+// finishedInMemory is how many of the newest leavable jobs keep their
+// entries in the job table; older ones are answered from the job store.
+const finishedInMemory = 256
 
 // Server is the campaign service: a durable FIFO job queue, a bounded pool
 // of campaign runners over the sweep engine, and a fingerprint-keyed result
@@ -90,6 +106,8 @@ type Server struct {
 	order    []*jobEntry // submission order (Seq ascending)
 	seq      int
 	draining bool
+	trimAt   int  // len(order) at which Submit next calls trimLocked
+	evicted  bool // some finished job left the table (trimLocked)
 
 	wake  chan struct{}
 	wg    sync.WaitGroup // scheduler
@@ -148,7 +166,7 @@ func openFS(dir string, opts Options, fsys fsOps) (*Server, error) {
 				obs.LogKeyFingerprint, j.Fingerprint,
 				"checkpoint", j.ResumedFrom)
 		}
-		e := &jobEntry{job: j, enqueuedMs: now, notify: newNotifier()}
+		e := &jobEntry{job: j, enqueuedMs: now, durable: j.State.Terminal()}
 		s.jobs[j.ID] = e
 		s.order = append(s.order, e)
 		if j.Seq > s.seq {
@@ -156,6 +174,7 @@ func openFS(dir string, opts Options, fsys fsOps) (*Server, error) {
 		}
 	}
 	s.mu.Lock()
+	s.trimLocked()
 	s.queueDepthLocked()
 	s.mu.Unlock()
 	s.tel.setCacheBytes(store.CacheSize())
@@ -233,9 +252,12 @@ func (s *Server) SubmitCtx(ctx context.Context, spec CampaignSpec) (JobStatus, e
 		s.seq--
 		return JobStatus{}, err
 	}
-	e := &jobEntry{job: j, enqueuedMs: now, notify: newNotifier()}
+	e := &jobEntry{job: j, enqueuedMs: now, durable: j.CacheHit}
 	s.jobs[j.ID] = e
 	s.order = append(s.order, e)
+	if len(s.order) >= s.trimAt {
+		s.trimLocked()
+	}
 	s.submitted.Add(1)
 	s.tel.jobSubmitted(j.CacheHit)
 	if j.CacheHit {
@@ -259,12 +281,60 @@ func (s *Server) SubmitCtx(ctx context.Context, spec CampaignSpec) (JobStatus, e
 	return s.statusLocked(e), nil
 }
 
+// trimLocked lets the oldest leavable jobs leave memory, keeping the newest
+// finishedInMemory of them, so a long-lived daemon's job table stops
+// growing with every cache hit it answers. Status, Cancel, StreamRows and
+// List answer a job that left from its durable record instead. Submit
+// calls it each time the table has grown by finishedInMemory entries, so
+// the scan is amortised O(1) per submission. Callers hold s.mu.
+func (s *Server) trimLocked() {
+	spare := -finishedInMemory
+	for _, e := range s.order {
+		if e.leavable() {
+			spare++
+		}
+	}
+	if spare > 0 {
+		kept := make([]*jobEntry, 0, len(s.order)-spare)
+		for _, e := range s.order {
+			if spare > 0 && e.leavable() {
+				spare--
+				delete(s.jobs, e.job.ID)
+				s.tel.jobLeft(e.job.ID)
+				continue
+			}
+			kept = append(kept, e)
+		}
+		s.order = kept
+		s.evicted = true
+	}
+	s.trimAt = len(s.order) + finishedInMemory
+}
+
+// entryLocked returns a job's entry and whether it lives in the job table.
+// A finished job that left the table comes back as a detached entry over
+// its durable record, read from disk under the lock (only IDs that are in
+// no table pay for it). A nil entry means no such job. Callers hold s.mu.
+func (s *Server) entryLocked(id string) (e *jobEntry, kept bool) {
+	if e, ok := s.jobs[id]; ok {
+		return e, true
+	}
+	if !s.evicted {
+		return nil, false
+	}
+	j, err := s.store.GetJob(id)
+	if err != nil {
+		return nil, false
+	}
+	return &jobEntry{job: j, durable: true}, false
+}
+
 // Status returns a job's live status.
 func (s *Server) Status(id string) (JobStatus, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	e, ok := s.jobs[id]
-	if !ok {
+	e, _ := s.entryLocked(id)
+	if e == nil {
 		return JobStatus{}, ErrNotFound
 	}
 	return s.statusLocked(e), nil
@@ -273,11 +343,32 @@ func (s *Server) Status(id string) (JobStatus, error) {
 // List returns every known job in submission order.
 func (s *Server) List() []JobStatus {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	out := make([]JobStatus, 0, len(s.order))
 	for _, e := range s.order {
 		out = append(out, s.statusLocked(e))
 	}
+	evicted := s.evicted
+	s.mu.Unlock()
+	if !evicted {
+		return out
+	}
+	// Finished jobs that left the table are listed from their durable
+	// records, read outside the lock. A detached entry is private to this
+	// call, so statusLocked needs no lock for it.
+	jobs, err := s.store.LoadJobs()
+	if err != nil {
+		return out
+	}
+	listed := make(map[string]bool, len(out))
+	for _, st := range out {
+		listed[st.ID] = true
+	}
+	for _, j := range jobs {
+		if !listed[j.ID] {
+			out = append(out, s.statusLocked(&jobEntry{job: j}))
+		}
+	}
+	sort.Slice(out, func(i, k int) bool { return out[i].Seq < out[k].Seq })
 	return out
 }
 
@@ -309,8 +400,8 @@ func (s *Server) Stats() Stats {
 // far stay checkpointed in the spool). Terminal jobs are returned as-is.
 func (s *Server) Cancel(id string) (JobStatus, error) {
 	s.mu.Lock()
-	e, ok := s.jobs[id]
-	if !ok {
+	e, _ := s.entryLocked(id)
+	if e == nil {
 		s.mu.Unlock()
 		return JobStatus{}, ErrNotFound
 	}
@@ -322,7 +413,8 @@ func (s *Server) Cancel(id string) (JobStatus, error) {
 		e.job.FinishedMs = time.Now().UnixMilli()
 		s.canceled.Add(1)
 		s.queueDepthLocked()
-		s.store.PutJob(e.job) //nolint:errcheck // state change is also in memory
+		// A failed write keeps the entry in memory, where the state is.
+		e.durable = s.store.PutJob(e.job) == nil
 	case StateRunning:
 		e.userCancel = true
 		cancel = e.cancel
@@ -430,7 +522,8 @@ func (s *Server) startRunnable() {
 				s.completed.Add(1)
 				s.tel.jobDeduped()
 				s.queueDepthLocked()
-				s.store.PutJob(e.job) //nolint:errcheck // state change is also in memory
+				// A failed write keeps the entry in memory, where the state is.
+				e.durable = s.store.PutJob(e.job) == nil
 				s.log.Info("queued duplicate answered from cache",
 					obs.LogKeyJob, e.job.ID,
 					obs.LogKeyFingerprint, e.job.Fingerprint)
@@ -542,7 +635,10 @@ func (s *Server) executeJob(e *jobEntry, ctx context.Context) error {
 				}
 				// Flush before the engine checkpoints the row, so the spool
 				// CSV is always at least as long as the checkpoint claims.
-				return enc.Flush()
+				if err := enc.Flush(); err != nil {
+					return err
+				}
+				return s.opts.rowGate.Pass(ctx, enc.Rows()-1)
 			})
 		}
 	} else {
@@ -560,7 +656,7 @@ func (s *Server) executeJob(e *jobEntry, ctx context.Context) error {
 					return err
 				}
 				e.notify.Broadcast() // scenario rows bypass opts.OnRow
-				return nil
+				return s.opts.rowGate.Pass(ctx, enc.Rows()-1)
 			})
 		}
 	}
@@ -624,7 +720,9 @@ func (s *Server) finishJob(e *jobEntry, err error) {
 	now := time.Now().UnixMilli()
 	if e.cancel != nil {
 		e.cancel() // release the deadline timer
+		e.cancel = nil
 	}
+	e.metrics.Stop() // the run is over: its reported rates stop moving
 	switch {
 	case err == nil:
 		e.job.State = StateDone
@@ -927,25 +1025,31 @@ func writeTrace(fsys fsOps, path string, tr *obs.Tracer) error {
 
 // notifier is a broadcast edge: Wait returns a channel closed by the next
 // Broadcast. Row appends and state transitions broadcast on it, waking any
-// number of streamers without polling.
+// number of streamers without polling. A generation's channel is made by
+// its first Wait, so a job nobody waits on — a cache hit, a run with no
+// streamer attached — allocates none and keeps none. The zero value is
+// ready.
 type notifier struct {
 	mu sync.Mutex
 	ch chan struct{}
 }
 
-func newNotifier() *notifier { return &notifier{ch: make(chan struct{})} }
-
 // Wait returns the current generation's channel.
 func (n *notifier) Wait() <-chan struct{} {
 	n.mu.Lock()
 	defer n.mu.Unlock()
+	if n.ch == nil {
+		n.ch = make(chan struct{})
+	}
 	return n.ch
 }
 
 // Broadcast wakes every waiter and opens a new generation.
 func (n *notifier) Broadcast() {
 	n.mu.Lock()
-	close(n.ch)
-	n.ch = make(chan struct{})
+	if n.ch != nil {
+		close(n.ch)
+		n.ch = nil
+	}
 	n.mu.Unlock()
 }

@@ -1,7 +1,9 @@
 package serve
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"strings"
 	"testing"
@@ -79,6 +81,18 @@ func openServer(t *testing.T, dir string, opts Options) *Server {
 		s.Drain(ctx) //nolint:errcheck // best-effort test cleanup
 	})
 	return s
+}
+
+// parkedAt waits until a job is parked at the gate — the deterministic
+// "campaign is mid-flight" point the cancel, drain and deadline tests act
+// at.
+func parkedAt(t *testing.T, g *sweep.RowGate) {
+	t.Helper()
+	select {
+	case <-g.Parked():
+	case <-time.After(30 * time.Second):
+		t.Fatalf("no job reached row %d", g.At)
+	}
 }
 
 func waitFor(t *testing.T, msg string, cond func() bool) {
@@ -246,14 +260,45 @@ func TestDuplicateInFlightIsSingleFlight(t *testing.T) {
 	}
 }
 
-func TestCancelRunningKeepsCheckpointAndResumes(t *testing.T) {
+// TestDoneJobMetricsFrozen: a finished job's telemetry snapshot is
+// computed against the moment the job ended, so its rates do not decay
+// with daemon uptime — two Status reads taken apart return identical
+// metrics.
+func TestDoneJobMetricsFrozen(t *testing.T) {
 	s := openServer(t, t.TempDir(), Options{})
+	st, err := s.Submit(quickSpec())
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	collectLines(t, s, st.ID, -1)
+	first := mustStatus(t, s, st.ID)
+	if first.State != StateDone || first.Metrics == nil || first.Metrics.RowsPerSec <= 0 {
+		t.Fatalf("done job without live metrics: state %s, metrics %+v", first.State, first.Metrics)
+	}
+	time.Sleep(20 * time.Millisecond) // the daemon's clock moves on
+	second := mustStatus(t, s, st.ID)
+	a, err := json.Marshal(first.Metrics)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := json.Marshal(second.Metrics)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a, b) {
+		t.Fatalf("done job's metrics moved between reads:\n 1st %s\n 2nd %s", a, b)
+	}
+}
+
+func TestCancelRunningKeepsCheckpointAndResumes(t *testing.T) {
+	gate := sweep.NewRowGate(2)
+	s := openServer(t, t.TempDir(), Options{rowGate: gate})
 	spec := slowSpec()
 	st, err := s.Submit(spec)
 	if err != nil {
 		t.Fatalf("Submit: %v", err)
 	}
-	waitFor(t, "progress before cancel", func() bool { return mustStatus(t, s, st.ID).Done >= 2 })
+	parkedAt(t, gate)
 	if _, err := s.Cancel(st.ID); err != nil {
 		t.Fatalf("Cancel: %v", err)
 	}
@@ -271,8 +316,8 @@ func TestCancelRunningKeepsCheckpointAndResumes(t *testing.T) {
 	if obs.FormatFingerprint(ck.Fingerprint) != st.Fingerprint {
 		t.Fatalf("checkpoint fingerprint %016x does not match job %s", ck.Fingerprint, st.Fingerprint)
 	}
-	if ck.Done == 0 {
-		t.Fatal("cancel left no checkpointed prefix")
+	if ck.Done != gate.At {
+		t.Fatalf("cancel at row %d left %d checkpointed rows, want %d", gate.At, ck.Done, gate.At)
 	}
 
 	// Resubmitting the identical spec resumes from that checkpoint and the
@@ -301,7 +346,8 @@ func TestDrainRequeuesAndRestartResumes(t *testing.T) {
 	dir := t.TempDir()
 	spec := slowSpec()
 
-	s1, err := Open(dir, Options{})
+	gate := sweep.NewRowGate(2)
+	s1, err := Open(dir, Options{rowGate: gate})
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
@@ -309,10 +355,7 @@ func TestDrainRequeuesAndRestartResumes(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Submit: %v", err)
 	}
-	waitFor(t, "progress before drain", func() bool {
-		got, err := s1.Status(st.ID)
-		return err == nil && got.Done >= 2
-	})
+	parkedAt(t, gate)
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()
 	if err := s1.Drain(ctx); err != nil {
@@ -340,8 +383,8 @@ func TestDrainRequeuesAndRestartResumes(t *testing.T) {
 	s2 := openServer(t, dir, Options{})
 	waitFor(t, "job done after restart", func() bool { return mustStatus(t, s2, st.ID).State == StateDone })
 	fin := mustStatus(t, s2, st.ID)
-	if fin.ResumedFrom == 0 {
-		t.Fatalf("restart did not resume from the checkpoint: %+v", fin.Job)
+	if fin.ResumedFrom != gate.At {
+		t.Fatalf("restart resumed from row %d, want the drain point %d: %+v", fin.ResumedFrom, gate.At, fin.Job)
 	}
 	want := refLines(t, spec)
 	got := collectLines(t, s2, st.ID, -1)
@@ -356,7 +399,10 @@ func TestDrainRequeuesAndRestartResumes(t *testing.T) {
 }
 
 func TestDeadlineFailsButKeepsCheckpoint(t *testing.T) {
-	s := openServer(t, t.TempDir(), Options{})
+	// The gate holds the job at row 2 until its deadline fires, so the
+	// campaign can never finish first, however fast the host.
+	gate := sweep.NewRowGate(2)
+	s := openServer(t, t.TempDir(), Options{rowGate: gate})
 	spec := slowSpec()
 	spec.DeadlineS = 0.05
 	st, err := s.Submit(spec)
@@ -373,7 +419,10 @@ func TestDeadlineFailsButKeepsCheckpoint(t *testing.T) {
 	}
 
 	// Identical campaign without the deadline: must resume, not restart —
-	// the deadline is an execution knob, outside the fingerprint.
+	// the deadline is an execution knob, outside the fingerprint. (On a
+	// slow host the deadline can fire before row 2; release the gate so
+	// the resubmission never parks.)
+	gate.Release()
 	spec.DeadlineS = 0
 	re, err := s.Submit(spec)
 	if err != nil {
@@ -386,10 +435,14 @@ func TestDeadlineFailsButKeepsCheckpoint(t *testing.T) {
 }
 
 func TestQueueFullAndCancelQueued(t *testing.T) {
-	s := openServer(t, t.TempDir(), Options{MaxQueue: 2})
+	// The gate keeps the first job running (parked at its first row) for
+	// the whole test, so the second one stays queued.
+	gate := sweep.NewRowGate(0)
+	s := openServer(t, t.TempDir(), Options{MaxQueue: 2, rowGate: gate})
 	if _, err := s.Submit(slowSpec()); err != nil {
 		t.Fatalf("Submit: %v", err)
 	}
+	parkedAt(t, gate)
 	spec2 := slowSpec()
 	spec2.BaseSeed = 99 // distinct campaign, waits for the single job slot
 	queued, err := s.Submit(spec2)

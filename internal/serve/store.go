@@ -118,6 +118,23 @@ func (s *Store) PutJob(j *Job) error {
 	return nil
 }
 
+// GetJob reads one persisted job record. An ID that is not a plain file
+// name, or names no readable record, is os.ErrNotExist.
+func (s *Store) GetJob(id string) (*Job, error) {
+	if id == "" || filepath.Base(id) != id {
+		return nil, os.ErrNotExist
+	}
+	data, err := s.fs.ReadFile(s.jobPath(id))
+	if err != nil {
+		return nil, err
+	}
+	var j Job
+	if err := json.Unmarshal(data, &j); err != nil || j.ID != id {
+		return nil, os.ErrNotExist
+	}
+	return &j, nil
+}
+
 // LoadJobs reads every persisted job record, sorted by submission sequence.
 // Unreadable or torn records are skipped (the atomic writes make them
 // possible only through external interference), not fatal: the daemon must

@@ -231,12 +231,25 @@ func (t *telemetry) adaptiveDone(res *adaptive.Result) {
 }
 
 // tailerHandles resolves the per-campaign stream instruments once per
-// stream, so the per-row path works on plain handles.
-func (t *telemetry) tailerHandles(jobID string) (active *obs.Gauge, rows, stalls *obs.Counter) {
+// stream, so the per-row path works on plain handles. A job answered from
+// its durable record (kept false) gets no per-job gauge: its series left
+// the registry with its table entry.
+func (t *telemetry) tailerHandles(jobID string, kept bool) (active *obs.Gauge, rows, stalls *obs.Counter) {
 	if t == nil {
 		return nil, nil, nil
 	}
-	return t.tailers.With(jobID), t.rowsStreamed, t.tailerStalls
+	if kept {
+		active = t.tailers.With(jobID)
+	}
+	return active, t.rowsStreamed, t.tailerStalls
+}
+
+// jobLeft drops the per-job series of a job whose entry left the table.
+func (t *telemetry) jobLeft(jobID string) {
+	if t == nil {
+		return
+	}
+	t.tailers.Delete(jobID)
 }
 
 // queueDepthLocked recounts queued jobs and updates the depth gauge.

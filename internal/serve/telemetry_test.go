@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"wsnlink/internal/obs"
+	"wsnlink/internal/sweep"
 )
 
 // syncBuffer makes a bytes.Buffer safe for the runner goroutines that emit
@@ -195,7 +196,8 @@ func TestHealthReadyDrainTransition(t *testing.T) {
 func TestDrainLogsRequeuedCheckpoints(t *testing.T) {
 	var logBuf syncBuffer
 	dir := t.TempDir()
-	s := openServer(t, dir, Options{Logger: obs.NewLogger(&logBuf, slog.LevelInfo)})
+	gate := sweep.NewRowGate(1)
+	s := openServer(t, dir, Options{Logger: obs.NewLogger(&logBuf, slog.LevelInfo), rowGate: gate})
 
 	// Widen slowSpec to ~10x the configurations: the drain must land while
 	// the single worker is still mid-campaign, and the requeue happens at a
@@ -206,7 +208,7 @@ func TestDrainLogsRequeuedCheckpoints(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Submit: %v", err)
 	}
-	waitFor(t, "rows checkpointed", func() bool { return mustStatus(t, s, st.ID).Done > 0 })
+	parkedAt(t, gate)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()

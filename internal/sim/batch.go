@@ -195,6 +195,7 @@ type lane struct {
 	records    []PacketRecord
 
 	recordPackets bool
+	stages        obs.SimStages    // per-configuration stage samples, flushed to obs
 	obs           *obs.Metrics     // optional telemetry sink (nil = disabled)
 	trace         *obs.SpanContext // optional lifecycle tracer (nil = disabled)
 }
@@ -291,6 +292,9 @@ func (l *lane) run(ctx context.Context) (Result, error) {
 	for i := 0; i < l.packets; i++ {
 		if err := ctx.Err(); err != nil {
 			l.departures = departures
+			if l.obs != nil {
+				l.stages.Flush(l.obs)
+			}
 			return Result{}, fmt.Errorf("sim: fast run canceled before packet %d of %d: %w",
 				i, l.packets, err)
 		}
@@ -312,7 +316,7 @@ func (l *lane) run(ctx context.Context) (Result, error) {
 		*rec = PacketRecord{ID: i, GenTime: arrival}
 		l.counters.Generated++
 		if l.obs != nil {
-			l.obs.StageAddSim(obs.StageGenerator, 0)
+			l.stages.Add(obs.StageGenerator, 0)
 		}
 		if l.trace != nil {
 			l.trace.Emit(obs.EvEnqueue, arrival, rec.ID, 0, 0, 0, 0)
@@ -352,6 +356,7 @@ func (l *lane) run(ctx context.Context) (Result, error) {
 	l.departures = departures
 
 	if l.obs != nil {
+		l.stages.Flush(l.obs)
 		l.obs.AddPackets(int64(l.counters.Generated))
 	}
 	res := Result{
@@ -471,7 +476,7 @@ func (l *lane) servePacket(rec *PacketRecord, start float64) float64 {
 		l.trace.Emit(kind, t, rec.ID, rec.Tries, 0, 0, 0)
 	}
 	if l.obs != nil {
-		recordPacketStages(l.obs, rec, t, l.frameTime)
+		recordPacketStages(&l.stages, rec, t, l.frameTime)
 	}
 	rec.ServiceEnd = t
 	l.counters.SumServiceTime += t - start

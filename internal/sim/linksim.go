@@ -144,6 +144,7 @@ type LinkSim struct {
 
 	ctx     context.Context  // cancellation, checked between packet generations
 	stopErr error            // first cancellation error observed
+	stages  obs.SimStages    // per-packet stage samples, flushed to obs once
 	obs     *obs.Metrics     // optional telemetry sink (nil = disabled)
 	trace   *obs.SpanContext // optional lifecycle tracer (nil = disabled)
 }
@@ -186,9 +187,10 @@ func NewLinkSim(cfg stack.Config, opts Options) (*LinkSim, error) {
 // the pipeline stages: queue wait, on-air frame time (channel), receive
 // listening (ACK + ACK-wait), and the CSMA-CA remainder (SPI load,
 // backoffs, turnaround, retry delays) as MAC. end is the service-end time,
-// frameTime one frame's air time. Callers guard m != nil so the disabled
-// path costs nothing.
-func recordPacketStages(m *obs.Metrics, rec *PacketRecord, end, frameTime float64) {
+// frameTime one frame's air time. The samples go to the simulator's own
+// accumulator, flushed to the hub once per configuration; callers guard on
+// the hub being set so the disabled path costs nothing.
+func recordPacketStages(a *obs.SimStages, rec *PacketRecord, end, frameTime float64) {
 	total := end - rec.ServiceStart
 	air := float64(rec.Tries) * frameTime
 	var rx float64
@@ -197,10 +199,10 @@ func recordPacketStages(m *obs.Metrics, rec *PacketRecord, end, frameTime float6
 	} else {
 		rx = float64(rec.Tries) * mac.AckWaitTimeout
 	}
-	m.StageAddSim(obs.StageQueue, rec.ServiceStart-rec.GenTime)
-	m.StageAddSim(obs.StageChannel, air)
-	m.StageAddSim(obs.StageRX, rx)
-	m.StageAddSim(obs.StageMAC, total-air-rx)
+	a.Add(obs.StageQueue, rec.ServiceStart-rec.GenTime)
+	a.Add(obs.StageChannel, air)
+	a.Add(obs.StageRX, rx)
+	a.Add(obs.StageMAC, total-air-rx)
 }
 
 // Run executes the configured number of packets and returns the result.
@@ -216,16 +218,19 @@ func (s *LinkSim) Run() Result {
 // never touch the RNG, so determinism for a fixed seed is preserved).
 func (s *LinkSim) RunContext(ctx context.Context) (Result, error) {
 	s.ctx = ctx
+	var err error
 	if s.cfg.Saturated() {
-		if err := s.runSaturated(ctx); err != nil {
-			return Result{}, err
-		}
+		err = s.runSaturated(ctx)
 	} else {
 		s.scheduleGeneration(0)
 		s.engine.RunUntilIdle()
-		if s.stopErr != nil {
-			return Result{}, s.stopErr
-		}
+		err = s.stopErr
+	}
+	if s.obs != nil {
+		s.stages.Flush(s.obs)
+	}
+	if err != nil {
+		return Result{}, err
 	}
 	if s.obs != nil {
 		s.obs.AddPackets(int64(s.counters.Generated))
@@ -250,7 +255,7 @@ func (s *LinkSim) runSaturated(ctx context.Context) error {
 		rec := &PacketRecord{ID: i, GenTime: s.engine.Now()}
 		s.counters.Generated++
 		if s.obs != nil {
-			s.obs.StageAddSim(obs.StageGenerator, 0)
+			s.stages.Add(obs.StageGenerator, 0)
 		}
 		if s.trace != nil {
 			s.trace.Emit(obs.EvEnqueue, rec.GenTime, rec.ID, 0, 0, 0, 0)
@@ -283,7 +288,7 @@ func (s *LinkSim) generate(i int) {
 	rec := &PacketRecord{ID: i, GenTime: s.engine.Now(), QueueLen: s.sendQ.Len()}
 	s.counters.Generated++
 	if s.obs != nil {
-		s.obs.StageAddSim(obs.StageGenerator, 0)
+		s.stages.Add(obs.StageGenerator, 0)
 	}
 	if s.trace != nil {
 		s.trace.Emit(obs.EvEnqueue, rec.GenTime, rec.ID, 0, 0, 0, 0)
@@ -406,7 +411,7 @@ func (s *LinkSim) startService(rec *PacketRecord) {
 		s.trace.Emit(kind, t, rec.ID, rec.Tries, 0, 0, 0)
 	}
 	if s.obs != nil {
-		recordPacketStages(s.obs, rec, t, frameTime)
+		recordPacketStages(&s.stages, rec, t, frameTime)
 	}
 
 	if _, err := s.engine.At(t, func() { s.completeService(rec) }); err != nil {
