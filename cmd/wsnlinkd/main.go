@@ -250,19 +250,11 @@ func publishDebug(s *serve.Server, reg *obs.Registry) {
 		if cur == nil {
 			return obs.CampaignStatus{}
 		}
-		jobs := cur.List()
-		// Prefer the most recently submitted non-terminal job; fall back to
-		// the last job so a finished campaign stays on the dashboard.
-		var pick *serve.JobStatus
-		for i := range jobs {
-			if !jobs[i].State.Terminal() {
-				pick = &jobs[i]
-			}
-		}
-		if pick == nil && len(jobs) > 0 {
-			pick = &jobs[len(jobs)-1]
-		}
-		if pick == nil {
+		// The most recently submitted unfinished job, else the last job so
+		// a finished campaign stays on the dashboard. Latest reads only
+		// the in-memory job table, so an SSE tick reads nothing from disk.
+		pick, ok := cur.Latest()
+		if !ok {
 			return obs.CampaignStatus{}
 		}
 		st := obs.CampaignStatus{

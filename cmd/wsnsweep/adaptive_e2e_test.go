@@ -9,7 +9,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"wsnlink/internal/obs"
 	"wsnlink/internal/sweep"
@@ -112,7 +111,6 @@ func TestRunAdaptiveInterruptAndResume(t *testing.T) {
 	full := filepath.Join(dir, "full.csv")
 	part := filepath.Join(dir, "part.csv")
 	ck := filepath.Join(dir, "part.ckpt")
-	// Heavy per-config work on one worker so the cancel lands mid-run.
 	slow := func(extra ...string) []string {
 		a := adaptiveArgs(extra...)
 		for i, s := range a {
@@ -128,23 +126,10 @@ func TestRunAdaptiveInterruptAndResume(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	go func() {
-		for {
-			data, err := os.ReadFile(part)
-			if err == nil && bytes.Count(data, []byte{'\n'}) > 3 {
-				cancel()
-				return
-			}
-			select {
-			case <-ctx.Done():
-				return
-			case <-time.After(time.Millisecond):
-			}
-		}
-	}()
-	err := run(ctx, slow("-out", part, "-checkpoint", ck), &discard, &discard)
+	// Interrupt once row 15 is written: inside the first acquisition round
+	// (the seed design is rows 0-11, rounds are 6 rows), so the resume
+	// replays a cut round.
+	err := run(interruptAfterRow(t, 15), slow("-out", part, "-checkpoint", ck), &discard, &discard)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("interrupted run: err = %v, want context.Canceled", err)
 	}
@@ -152,8 +137,8 @@ func TestRunAdaptiveInterruptAndResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if loaded.Done == 0 || loaded.Done >= 24 {
-		t.Fatalf("checkpoint Done = %d, want a partial prefix", loaded.Done)
+	if loaded.Done != 15 {
+		t.Fatalf("checkpoint Done = %d, want the 15-row prefix before the interrupt", loaded.Done)
 	}
 
 	var stderr bytes.Buffer
@@ -161,7 +146,7 @@ func TestRunAdaptiveInterruptAndResume(t *testing.T) {
 		&discard, &stderr); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(stderr.String(), "resuming after") {
+	if !strings.Contains(stderr.String(), "resuming after 15") {
 		t.Errorf("stderr = %q", stderr.String())
 	}
 

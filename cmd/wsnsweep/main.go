@@ -385,7 +385,10 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 			if err := lc.enc.Encode(r); err != nil {
 				return err
 			}
-			return lc.enc.Flush()
+			if err := lc.enc.Flush(); err != nil {
+				return err
+			}
+			return rowGate.Pass(ctx, lc.enc.Rows()-1)
 		})
 	} else {
 		err = codec.Stream(ctx, cfgs, opts)

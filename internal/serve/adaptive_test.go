@@ -99,30 +99,33 @@ func TestAdaptiveSubmitStreamCompletes(t *testing.T) {
 // be byte-identical to an uninterrupted explorer run — the service-level
 // kill-and-resume proof for the deterministic replay contract.
 func TestAdaptiveCancelKeepsCheckpointAndResumes(t *testing.T) {
-	s := openServer(t, t.TempDir(), Options{})
+	// Row 10 sits inside the first acquisition round (the seed design is
+	// rows 0-7, rounds are 4 rows), so the resume replays a cut round.
+	gate := sweep.NewRowGate(10)
+	s := openServer(t, t.TempDir(), Options{rowGate: gate})
 	spec := adaptiveSpec()
-	spec.Packets = 20000 // slow enough to cancel mid-exploration
+	spec.Packets = 20000
 	spec.Workers = 1
 	st, err := s.Submit(spec)
 	if err != nil {
 		t.Fatalf("Submit: %v", err)
 	}
-	waitFor(t, "progress before cancel", func() bool { return mustStatus(t, s, st.ID).Done >= 2 })
+	parkedAt(t, gate)
 	if _, err := s.Cancel(st.ID); err != nil {
 		t.Fatalf("Cancel: %v", err)
 	}
 	waitFor(t, "job canceled", func() bool { return mustStatus(t, s, st.ID).State == StateCanceled })
 	fin := mustStatus(t, s, st.ID)
 	if fin.Done >= fin.Total {
-		t.Fatalf("job finished (%d/%d) before cancel landed; raise Packets", fin.Done, fin.Total)
+		t.Fatalf("job finished (%d/%d) although it was parked at row %d", fin.Done, fin.Total, gate.At)
 	}
 
 	ck, err := sweep.LoadCheckpoint(s.Store().SpoolCheckpoint(st.Fingerprint))
 	if err != nil {
 		t.Fatalf("LoadCheckpoint after cancel: %v", err)
 	}
-	if ck.Done == 0 {
-		t.Fatal("cancel left no checkpointed prefix")
+	if ck.Done != gate.At {
+		t.Fatalf("cancel at row %d left %d checkpointed rows, want %d", gate.At, ck.Done, gate.At)
 	}
 
 	re, err := s.Submit(spec)
@@ -130,8 +133,8 @@ func TestAdaptiveCancelKeepsCheckpointAndResumes(t *testing.T) {
 		t.Fatalf("resubmit: %v", err)
 	}
 	waitFor(t, "resumed job done", func() bool { return mustStatus(t, s, re.ID).State == StateDone })
-	if got := mustStatus(t, s, re.ID); got.ResumedFrom == 0 {
-		t.Fatalf("resubmission did not resume from the checkpoint: %+v", got.Job)
+	if got := mustStatus(t, s, re.ID); got.ResumedFrom != gate.At {
+		t.Fatalf("resubmission resumed from row %d, want the %d-row checkpoint", got.ResumedFrom, gate.At)
 	}
 	want := refAdaptiveLines(t, spec)
 	got := collectLines(t, s, re.ID, -1)

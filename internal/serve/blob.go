@@ -119,13 +119,13 @@ func (s *Store) EnsureCached(fp string) (ok, fetched bool) {
 		return false, false
 	}
 	defer src.Close()
-	path := s.CachePath(fp)
-	tmp := fmt.Sprintf("%s.tmp-%d", path, os.Getpid())
+	tmp := fmt.Sprintf("%s.tmp-%d", s.CachePath(fp), os.Getpid())
 	dst, err := s.fs.Create(tmp)
 	if err != nil {
 		return false, false
 	}
-	if _, err := io.Copy(dst, src); err != nil {
+	n, err := io.Copy(dst, src)
+	if err != nil {
 		dst.Close()
 		s.fs.Remove(tmp)
 		return false, false
@@ -134,7 +134,7 @@ func (s *Store) EnsureCached(fp string) (ok, fetched bool) {
 		s.fs.Remove(tmp)
 		return false, false
 	}
-	if err := s.fs.Rename(tmp, path); err != nil {
+	if err := s.renameIntoCache(tmp, fp, n); err != nil {
 		s.fs.Remove(tmp)
 		return false, false
 	}

@@ -159,6 +159,6 @@ func (s *Server) executeRemote(ctx context.Context, e *jobEntry, spec CampaignSp
 		return err
 	}
 	s.publishPromoted(fp)
-	s.tel.cachePromoted(s.store.CacheSize())
+	s.tel.cachePromoted()
 	return nil
 }

@@ -63,7 +63,8 @@ type Options struct {
 
 // jobEntry pairs a durable job record with its live run state. The record
 // and flags are guarded by Server.mu; prog/metrics/notify are themselves
-// concurrency-safe.
+// concurrency-safe. Once durable, the entry holds nothing its record does
+// not: a finished run's record carries its frozen metrics and progress.
 type jobEntry struct {
 	job        *Job
 	cancel     context.CancelFunc
@@ -77,15 +78,9 @@ type jobEntry struct {
 	durable    bool // finished and its final record is on disk
 }
 
-// leavable reports whether the entry holds nothing its durable record does
-// not: a finished job this process did not run (a cache hit, a
-// deduplicated or queue-canceled job, one finished in an earlier daemon
-// life). Jobs this process ran carry a metrics snapshot that exists only
-// in memory.
-func (e *jobEntry) leavable() bool { return e.durable && e.metrics == nil }
-
-// finishedInMemory is how many of the newest leavable jobs keep their
-// entries in the job table; older ones are answered from the job store.
+// finishedInMemory is how many of the newest durable finished jobs keep
+// their entries in the job table; older ones are answered from the job
+// store.
 const finishedInMemory = 256
 
 // Server is the campaign service: a durable FIFO job queue, a bounded pool
@@ -177,7 +172,9 @@ func openFS(dir string, opts Options, fsys fsOps) (*Server, error) {
 	s.trimLocked()
 	s.queueDepthLocked()
 	s.mu.Unlock()
-	s.tel.setCacheBytes(store.CacheSize())
+	if s.tel != nil {
+		store.mirrorCacheSize(s.tel.cacheBytes)
+	}
 
 	s.wg.Add(1)
 	go s.schedule()
@@ -281,23 +278,24 @@ func (s *Server) SubmitCtx(ctx context.Context, spec CampaignSpec) (JobStatus, e
 	return s.statusLocked(e), nil
 }
 
-// trimLocked lets the oldest leavable jobs leave memory, keeping the newest
-// finishedInMemory of them, so a long-lived daemon's job table stops
-// growing with every cache hit it answers. Status, Cancel, StreamRows and
-// List answer a job that left from its durable record instead. Submit
-// calls it each time the table has grown by finishedInMemory entries, so
-// the scan is amortised O(1) per submission. Callers hold s.mu.
+// trimLocked lets the oldest durable finished jobs leave memory, keeping
+// the newest finishedInMemory of them, so a long-lived daemon's job table
+// stops growing with every campaign it answers. Status, Cancel,
+// StreamRows and List answer a job that left from its durable record
+// instead. Submit calls it each time the table has grown by
+// finishedInMemory entries, so the scan is amortised O(1) per submission.
+// Callers hold s.mu.
 func (s *Server) trimLocked() {
 	spare := -finishedInMemory
 	for _, e := range s.order {
-		if e.leavable() {
+		if e.durable {
 			spare++
 		}
 	}
 	if spare > 0 {
 		kept := make([]*jobEntry, 0, len(s.order)-spare)
 		for _, e := range s.order {
-			if spare > 0 && e.leavable() {
+			if spare > 0 && e.durable {
 				spare--
 				delete(s.jobs, e.job.ID)
 				s.tel.jobLeft(e.job.ID)
@@ -370,6 +368,26 @@ func (s *Server) List() []JobStatus {
 	}
 	sort.Slice(out, func(i, k int) bool { return out[i].Seq < out[k].Seq })
 	return out
+}
+
+// Latest returns the newest job that is not yet finished, or else the
+// newest job, from the in-memory job table alone (it reads no job record).
+// The newest job and every unfinished one are always in the table. ok is
+// false when the server has no jobs.
+func (s *Server) Latest() (st JobStatus, ok bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if len(s.order) == 0 {
+		return JobStatus{}, false
+	}
+	pick := s.order[len(s.order)-1]
+	for i := len(s.order) - 1; i >= 0; i-- {
+		if !s.order[i].job.State.Terminal() {
+			pick = s.order[i]
+			break
+		}
+	}
+	return s.statusLocked(pick), true
 }
 
 // Stats returns the server-level counters.
@@ -693,7 +711,7 @@ func (s *Server) executeJob(e *jobEntry, ctx context.Context) error {
 		return err
 	}
 	s.publishPromoted(fp)
-	s.tel.cachePromoted(s.store.CacheSize())
+	s.tel.cachePromoted()
 	return nil
 }
 
@@ -757,7 +775,22 @@ func (s *Server) finishJob(e *jobEntry, err error) {
 	checkpoint := e.prog.Snapshot().Done
 	s.tel.jobFinished(now-e.job.StartedMs, requeued)
 	s.queueDepthLocked()
-	s.store.PutJob(e.job) //nolint:errcheck // state change is also in memory
+	if requeued {
+		s.store.PutJob(e.job) //nolint:errcheck // state change is also in memory
+	} else {
+		// The final record carries everything statusLocked reads from the
+		// live run, so the entry can leave memory and the job still
+		// answers the same. The metrics snapshot goes only into the
+		// written copy: the entry keeps its frozen e.metrics instead.
+		st := s.statusLocked(e)
+		if state != StateDone {
+			e.job.RunDone, e.job.RunErrors = st.Done, st.Errors
+		}
+		rec := *e.job
+		rec.Metrics = st.Metrics
+		// A failed write keeps the entry in memory, where the state is.
+		e.durable = s.store.PutJob(&rec) == nil
+	}
 	s.mu.Unlock()
 	if requeued {
 		// The drain audit trail: which jobs went back to the queue and how
@@ -793,6 +826,8 @@ func (s *Server) statusLocked(e *jobEntry) JobStatus {
 		st.Done = st.Total
 	case ps.Total > 0: // the engine ran (or is running) in this process
 		st.Done, st.Errors = ps.Done, ps.Errors
+	case e.job.RunDone > 0 || e.job.RunErrors > 0: // a finished run's record
+		st.Done, st.Errors = e.job.RunDone, e.job.RunErrors
 	default: // queued/requeued: the checkpointed prefix is what's durable
 		st.Done = int64(e.job.ResumedFrom)
 	}
@@ -849,7 +884,7 @@ func (s *Server) executeAdaptive(ctx context.Context, e *jobEntry, spec Campaign
 			return err
 		}
 		e.notify.Broadcast()
-		return nil
+		return s.opts.rowGate.Pass(ctx, enc.Rows()-1)
 	})
 	closeErr := f.Close()
 	if streamErr != nil {
@@ -868,7 +903,7 @@ func (s *Server) executeAdaptive(ctx context.Context, e *jobEntry, spec Campaign
 		return err
 	}
 	s.publishPromoted(fp)
-	s.tel.cachePromoted(s.store.CacheSize())
+	s.tel.cachePromoted()
 	return nil
 }
 

@@ -8,6 +8,10 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
+	"sync/atomic"
+
+	"wsnlink/internal/obs"
 )
 
 // Store is the service's durable state under one data directory:
@@ -23,12 +27,23 @@ import (
 // earlier attempt left behind. Completion promotes the spool dataset into
 // the cache with an atomic rename; cache presence alone therefore implies a
 // complete, validated dataset.
+//
+// The cache's byte total is tracked rather than rescanned: one directory
+// scan at open seeds it, and every rename into cache/ (Promote, a blob-tier
+// fetch) adjusts it, so CacheSize is O(1) however large the cache grows.
 type Store struct {
 	dir string
 	fs  fsOps
 	// blobs, when set, is the shared cache tier behind the local cache:
 	// EnsureCached falls back to it and PublishCache copies into it.
 	blobs BlobStore
+
+	// cacheMu serializes renames into cache/ with the accounting of the
+	// file each one replaces; cacheBytes is the running total, and
+	// cacheGauge (nil-safe) mirrors it for /metrics.
+	cacheMu    sync.Mutex
+	cacheBytes atomic.Int64
+	cacheGauge *obs.Gauge
 }
 
 // OpenStore creates (or reopens) the data directory layout.
@@ -43,7 +58,9 @@ func openStoreFS(dir string, fsys fsOps) (*Store, error) {
 			return nil, fmt.Errorf("serve: open store: %w", err)
 		}
 	}
-	return &Store{dir: dir, fs: fsys}, nil
+	s := &Store{dir: dir, fs: fsys}
+	s.cacheBytes.Store(s.scanCacheSize())
+	return s, nil
 }
 
 // Dir returns the store's root directory.
@@ -79,10 +96,14 @@ func (s *Store) HasCache(fp string) bool {
 	return err == nil
 }
 
-// CacheSize returns the total on-disk size of the result cache in bytes.
-// Best-effort: entries that vanish between the listing and the stat (a
-// concurrent eviction) are skipped.
-func (s *Store) CacheSize() int64 {
+// CacheSize returns the total on-disk size of the result cache in bytes,
+// as tracked since the store opened. Files added to or deleted from cache/
+// by hand are not seen until the next open.
+func (s *Store) CacheSize() int64 { return s.cacheBytes.Load() }
+
+// scanCacheSize sums the sizes of the files in cache/: the one scan that
+// seeds the tracked total at open.
+func (s *Store) scanCacheSize() int64 {
 	entries, err := s.fs.ReadDir(filepath.Join(s.dir, "cache"))
 	if err != nil {
 		return 0
@@ -97,6 +118,33 @@ func (s *Store) CacheSize() int64 {
 		}
 	}
 	return total
+}
+
+// mirrorCacheSize makes g equal the tracked cache size from now on. It is
+// set under the lock that orders the renames, so concurrent promotes
+// cannot leave an older total in it.
+func (s *Store) mirrorCacheSize(g *obs.Gauge) {
+	s.cacheMu.Lock()
+	defer s.cacheMu.Unlock()
+	s.cacheGauge = g
+	g.Set(s.cacheBytes.Load())
+}
+
+// renameIntoCache renames a finished file of size bytes to CachePath(fp)
+// and adds it to the tracked total, less whatever file the rename replaces.
+func (s *Store) renameIntoCache(src, fp string, size int64) error {
+	dst := s.CachePath(fp)
+	s.cacheMu.Lock()
+	defer s.cacheMu.Unlock()
+	var replaced int64
+	if info, err := s.fs.Stat(dst); err == nil {
+		replaced = info.Size()
+	}
+	if err := s.fs.Rename(src, dst); err != nil {
+		return err
+	}
+	s.cacheGauge.Set(s.cacheBytes.Add(size - replaced))
+	return nil
 }
 
 // PutJob persists a job record atomically (temp file + rename), so a crash
@@ -166,7 +214,11 @@ func (s *Store) LoadJobs() ([]*Job, error) {
 // Promote moves a completed spool dataset into the result cache (atomic
 // rename) and drops the now-redundant checkpoint sidecar.
 func (s *Store) Promote(fp string) error {
-	if err := s.fs.Rename(s.SpoolCSV(fp), s.CachePath(fp)); err != nil {
+	info, err := s.fs.Stat(s.SpoolCSV(fp))
+	if err != nil {
+		return fmt.Errorf("serve: promote %s: %w", fp, err)
+	}
+	if err := s.renameIntoCache(s.SpoolCSV(fp), fp, info.Size()); err != nil {
 		return fmt.Errorf("serve: promote %s: %w", fp, err)
 	}
 	if err := s.fs.Remove(s.SpoolCheckpoint(fp)); err != nil && !errors.Is(err, os.ErrNotExist) {

@@ -173,19 +173,11 @@ func (t *telemetry) setQueueDepth(n int64) {
 	t.queueDepth.Set(n)
 }
 
-func (t *telemetry) cachePromoted(sizeBytes int64) {
+func (t *telemetry) cachePromoted() {
 	if t == nil {
 		return
 	}
 	t.cachePromotes.Inc()
-	t.cacheBytes.Set(sizeBytes)
-}
-
-func (t *telemetry) setCacheBytes(n int64) {
-	if t == nil {
-		return
-	}
-	t.cacheBytes.Set(n)
 }
 
 func (t *telemetry) blobFetched(fetched bool) {

@@ -462,17 +462,25 @@ type Job struct {
 	CreatedMs   int64  `json:"created_unix_ms"`
 	StartedMs   int64  `json:"started_unix_ms,omitempty"`
 	FinishedMs  int64  `json:"finished_unix_ms,omitempty"`
+	// RunDone and RunErrors freeze a failed or canceled run's progress
+	// counters, so Status answers the same from the record as it did
+	// from the live run.
+	RunDone   int64 `json:"run_done,omitempty"`
+	RunErrors int64 `json:"run_errors,omitempty"`
+	// Metrics is the run's telemetry snapshot: live in Status while the
+	// job runs, frozen into the final record when it finishes. Jobs that
+	// never ran (cache hits, deduplicated or queue-canceled jobs) carry
+	// none.
+	Metrics *obs.Snapshot `json:"metrics,omitempty"`
 }
 
 // JobStatus is the live view of a job: the durable record plus progress
-// counters and, while the server that ran it is alive, a telemetry
-// snapshot.
+// counters.
 type JobStatus struct {
 	Job
-	Done    int64         `json:"done"`
-	Total   int64         `json:"total"`
-	Errors  int64         `json:"errors"`
-	Metrics *obs.Snapshot `json:"metrics,omitempty"`
+	Done   int64 `json:"done"`
+	Total  int64 `json:"total"`
+	Errors int64 `json:"errors"`
 }
 
 // Stats are the server-level counters (also exported via expvar by the

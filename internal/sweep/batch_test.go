@@ -65,7 +65,10 @@ func TestBatchResumeMidBlock(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Cancel after 3 emitted rows — strictly inside the first block of 7.
+	// Cancel at the third emitted row — strictly inside the first block of
+	// 7. The sink returns the context's error, as the service and CLI row
+	// sinks do once canceled, so row 2 is written but not checkpointed
+	// however far ahead the workers ran.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	interrupted := base
@@ -75,6 +78,7 @@ func TestBatchResumeMidBlock(t *testing.T) {
 		prefix = append(prefix, r)
 		if len(prefix) == 3 {
 			cancel()
+			return ctx.Err()
 		}
 		return nil
 	})
@@ -85,11 +89,8 @@ func TestBatchResumeMidBlock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ck.Done == 0 || ck.Done >= len(cfgs) {
-		t.Fatalf("checkpoint Done = %d, want a strict mid-campaign prefix of %d", ck.Done, len(cfgs))
-	}
-	if ck.Done%7 == 0 {
-		t.Logf("note: checkpoint landed on a block boundary (Done=%d)", ck.Done)
+	if ck.Done != 2 {
+		t.Fatalf("checkpoint Done = %d, want the 2 rows before the interrupted one", ck.Done)
 	}
 	prefix = prefix[:ck.Done] // rows the checkpoint recorded as durable
 

@@ -187,7 +187,9 @@ func StreamScenarios(ctx context.Context, spec scenario.Spec, cfgs []stack.Confi
 			}
 		}()
 	}
+	wg.Add(1)
 	go func() { // dispatcher: one token per config
+		defer wg.Done()
 		defer close(jobs)
 		for i := start; i < len(cfgs); i++ {
 			var t0 time.Time
@@ -293,6 +295,9 @@ loop:
 		}
 	}
 	cancel()
+	// Wait for them: once the run returns, nothing updates Progress or
+	// Metrics, so a caller's final snapshot of either is final.
+	wg.Wait()
 
 	if terminal == nil && next < len(cfgs) {
 		err := ctx.Err()

@@ -208,7 +208,9 @@ func StreamConfigs(ctx context.Context, cfgs []stack.Config, opts RunOptions, yi
 			}
 		}()
 	}
+	wg.Add(1)
 	go func() { // dispatcher: one token per config, one send per block
+		defer wg.Done()
 		defer close(jobs)
 		for i := start; i < len(cfgs); i += opts.BatchSize {
 			n := len(cfgs) - i
@@ -327,6 +329,9 @@ loop:
 		}
 	}
 	cancel() // release dispatcher and any worker blocked on results
+	// Wait for them: once the run returns, nothing updates Progress or
+	// Metrics, so a caller's final snapshot of either is final.
+	wg.Wait()
 
 	if terminal == nil && next < len(cfgs) {
 		// The result stream ended early without a terminal outcome; the
