@@ -32,9 +32,10 @@ race:
 
 # Fuzz smoke: every Fuzz* target in the service and sweep packages — the
 # spec decoders, the NDJSON row decoder and its fast-path differential
-# check, the CSV reader — for 10 s each (go test -fuzz takes one target
-# per run). Fails when listing a package fails or a package lists no
-# Fuzz* target, so a broken package cannot turn the smoke into a no-op.
+# check, the spool's row renderer and prefix reader, the CSV reader — for
+# 10 s each (go test -fuzz takes one target per run). Fails when listing a
+# package fails or a package lists no Fuzz* target, so a broken package
+# cannot turn the smoke into a no-op.
 FUZZ_PKGS = ./internal/serve ./internal/sweep
 
 fuzz-smoke:

@@ -156,6 +156,14 @@ func (f *Fabric) ExecuteCampaign(ctx context.Context, job *serve.ExecJob) error 
 	for i, sh := range plan.Shards {
 		local := sh.Offset - base
 		for next < local+sh.Count {
+			if len(feeds[i]) == 0 {
+				// Nothing merged is waiting behind this row: commit the
+				// run so far before blocking, so the coordinator's
+				// streamers follow the merge a run at a time.
+				if err := job.Commit(); err != nil {
+					return err
+				}
+			}
 			select {
 			case r, ok := <-feeds[i]:
 				if !ok {

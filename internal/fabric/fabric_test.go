@@ -5,12 +5,14 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"wsnlink/internal/obs"
 	"wsnlink/internal/serve"
+	"wsnlink/internal/sweep"
 )
 
 // runner is one in-process wsnlinkd runner: a serve.Server behind a real
@@ -42,6 +44,9 @@ func startRunner(t *testing.T, opts serve.Options) *runner {
 // process's kernel would not, but an unreachable peer looks identical to
 // the coordinator).
 func (r *runner) kill() {
+	// Refuse new connections first: a client retrying into the closing
+	// window would otherwise hold a request open that Close waits on.
+	r.ts.Listener.Close()
 	r.ts.CloseClientConnections()
 	r.ts.Close()
 }
@@ -152,19 +157,23 @@ func TestFabricMergedStreamByteIdentical(t *testing.T) {
 // requeue is visible in the fabric metrics.
 func TestFabricRunnerLossRequeues(t *testing.T) {
 	spec := planSpec()
-	spec.Packets = 200000 // slow enough to lose a runner mid-stream
 	spec.Workers = 1
-	// One config per kernel call: runner-side progress (and the killer's
-	// mid-shard window below) advances row by row instead of jumping to
-	// done in one batch. Batch size is not part of the fingerprint.
+	// One config per kernel call, so a runner's shard job reaches its row
+	// 1 as a row of its own. Batch size is not part of the fingerprint.
 	spec.BatchSize = 1
 	want := referenceRows(t, spec)
 
+	// Every runner parks the first shard job that reaches row 1 — the
+	// second and last row of each 2-row shard — so a kill always lands
+	// strictly mid-shard, with the shard's stream still open.
 	var runners []*runner
+	var gates []*sweep.RowGate
 	var urls []string
 	for i := 0; i < 3; i++ {
-		r := startRunner(t, serve.Options{Logger: obs.NopLogger()})
+		g := sweep.NewRowGate(1)
+		r := startRunner(t, serve.Options{Logger: obs.NopLogger(), RowGate: g})
 		runners = append(runners, r)
+		gates = append(gates, g)
 		urls = append(urls, r.ts.URL)
 	}
 	metrics := obs.NewRegistry()
@@ -177,35 +186,27 @@ func TestFabricRunnerLossRequeues(t *testing.T) {
 		t.Fatalf("Submit: %v", err)
 	}
 
-	var killed atomic.Bool
+	// Kill the first runner to park, then let every gate go: the
+	// survivors finish their own shards and take over the dead runner's.
+	killed := make(chan struct{})
 	go func() {
-		rcls := make([]*serve.Client, len(runners))
-		for i, r := range runners {
-			rcls[i] = serve.NewClient(r.ts.URL)
-		}
-		deadline := time.Now().Add(time.Minute)
-		for !time.Now().After(deadline) {
-			// Kill a runner whose shard job is running and has already
-			// checkpointed a row: the kill lands strictly mid-shard, so
-			// it always interrupts an open stream and forces a requeue.
-			// (Runner-side state, not the coordinator's merge cursor —
-			// the ordered merge can lag runner completion arbitrarily.)
-			for i, rc := range rcls {
-				lr, err := rc.List(ctx)
-				if err != nil {
-					continue
-				}
-				for _, j := range lr.Jobs {
-					if j.State == serve.StateRunning && j.Done >= 1 {
-						runners[i].kill()
-						killed.Store(true)
-						return
-					}
-				}
+		defer close(killed)
+		defer func() {
+			for _, g := range gates {
+				g.Release()
 			}
-			time.Sleep(2 * time.Millisecond)
+		}()
+		cases := make([]reflect.SelectCase, 0, len(gates)+1)
+		for _, g := range gates {
+			cases = append(cases, reflect.SelectCase{Dir: reflect.SelectRecv, Chan: reflect.ValueOf(g.Parked())})
 		}
-		t.Error("campaign never made progress; runner was not killed")
+		cases = append(cases, reflect.SelectCase{Dir: reflect.SelectRecv, Chan: reflect.ValueOf(ctx.Done())})
+		i, _, _ := reflect.Select(cases)
+		if i == len(gates) {
+			t.Error("no runner reached row 1 of a shard")
+			return
+		}
+		runners[i].kill()
 	}()
 
 	rows := 0
@@ -221,9 +222,7 @@ func TestFabricRunnerLossRequeues(t *testing.T) {
 	if fin, err := srv.Status(st.ID); err != nil || fin.State != serve.StateDone {
 		t.Fatalf("job finished %v (err %v), want done", fin.State, err)
 	}
-	if !killed.Load() {
-		t.Fatal("runner survived the whole campaign; loss path untested")
-	}
+	<-killed
 	if rows != 12 {
 		t.Fatalf("streamed %d rows, want 12", rows)
 	}

@@ -120,6 +120,16 @@ func (m *Metrics) StageAdd(s Stage, d time.Duration) {
 	m.stages[s].ns.Add(int64(d))
 }
 
+// StageAddN accounts count samples totalling d of wall time in one update:
+// work done once for a group of count rows.
+func (m *Metrics) StageAddN(s Stage, count int64, d time.Duration) {
+	if m == nil {
+		return
+	}
+	m.stages[s].count.Add(count)
+	m.stages[s].ns.Add(int64(d))
+}
+
 // StageAddSim accounts simulated seconds to a simulator-pipeline stage.
 func (m *Metrics) StageAddSim(s Stage, seconds float64) {
 	if m == nil {
@@ -133,11 +143,7 @@ func (m *Metrics) StageAddSim(s Stage, seconds float64) {
 // a simulator-pipeline stage in one update — the flush of a SimStages
 // accumulator.
 func (m *Metrics) StageAddSimN(s Stage, count, ns int64) {
-	if m == nil {
-		return
-	}
-	m.stages[s].count.Add(count)
-	m.stages[s].ns.Add(ns)
+	m.StageAddN(s, count, time.Duration(ns))
 }
 
 // Snapshot captures the current state. It is safe to call concurrently

@@ -102,7 +102,7 @@ func TestAdaptiveCancelKeepsCheckpointAndResumes(t *testing.T) {
 	// Row 10 sits inside the first acquisition round (the seed design is
 	// rows 0-7, rounds are 4 rows), so the resume replays a cut round.
 	gate := sweep.NewRowGate(10)
-	s := openServer(t, t.TempDir(), Options{rowGate: gate})
+	s := openServer(t, t.TempDir(), Options{RowGate: gate})
 	spec := adaptiveSpec()
 	spec.Packets = 20000
 	spec.Workers = 1

@@ -31,7 +31,7 @@ type BlobStore interface {
 }
 
 // DirBlobStore is the filesystem BlobStore: one shared directory (an NFS
-// mount, a bind-mounted volume) holding <fp>.csv objects, written with the
+// mount, a bind-mounted volume) holding <fp>.ndjson objects, written with the
 // same temp-file-plus-rename discipline the local cache uses. It sits
 // behind the fsOps seam so the fault-injection tests can exercise torn
 // publishes and failing renames.
@@ -54,7 +54,7 @@ func newDirBlobStoreFS(dir string, fsys fsOps) (*DirBlobStore, error) {
 }
 
 func (b *DirBlobStore) path(fp string) string {
-	return filepath.Join(b.dir, fp+".csv")
+	return filepath.Join(b.dir, fp+datasetExt)
 }
 
 func (b *DirBlobStore) Has(fp string) bool {

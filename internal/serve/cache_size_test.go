@@ -127,7 +127,7 @@ func TestCacheSizeTracksDisk(t *testing.T) {
 	// The gate parks the first run at its first row, so its duplicate is
 	// queued behind it while the other jobs promote concurrently.
 	gate := sweep.NewRowGate(0)
-	s := openServer(t, dir, Options{Jobs: 4, Registry: reg, Blobs: blobs, rowGate: gate})
+	s := openServer(t, dir, Options{Jobs: 4, Registry: reg, Blobs: blobs, RowGate: gate})
 
 	first, err := s.Submit(seededSpec(100))
 	if err != nil {

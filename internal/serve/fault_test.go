@@ -361,7 +361,7 @@ func TestWorkerKillAtCheckpointRequeuesAndReplays(t *testing.T) {
 func TestOpenFailureOnSpoolPrefixStartsFresh(t *testing.T) {
 	fsys := &faultFS{}
 	gate := sweep.NewRowGate(1)
-	s := openFaultServer(t, t.TempDir(), Options{Jobs: 1, rowGate: gate}, fsys)
+	s := openFaultServer(t, t.TempDir(), Options{Jobs: 1, RowGate: gate}, fsys)
 	spec := slowSpec()
 	want := refLines(t, quickSpec())
 

@@ -119,7 +119,7 @@ func (s *Server) instrument(route, method string, h http.HandlerFunc) http.Handl
 
 // statusRecorder captures the response status for the request counter. It
 // must keep implementing http.Flusher: the rows handler streams NDJSON
-// through it and flushes per row.
+// through it and flushes each time it catches up with the runner.
 type statusRecorder struct {
 	http.ResponseWriter
 	code int
@@ -236,21 +236,14 @@ func (s *Server) handleRows(w http.ResponseWriter, r *http.Request) {
 		fl.Flush() // commit headers before the first row is ready
 	}
 
-	appendRow := appendRowJSON
-	if scenarioJob {
-		appendRow = appendScenarioRowJSON
+	var caughtUp func()
+	if fl != nil {
+		caughtUp = fl.Flush
 	}
-	var buf []byte
-	s.StreamRows(r.Context(), id, after, func(index int, fields []string) error { //nolint:errcheck // the stream just ends; the client re-checks status
-		buf = appendRow(buf[:0], index, fields)
-		if _, err := w.Write(buf); err != nil {
-			return err
-		}
-		if fl != nil {
-			fl.Flush()
-		}
-		return nil
-	})
+	s.streamLines(r.Context(), id, after, func(lines []byte) error { //nolint:errcheck // the stream just ends; the client re-checks status
+		_, err := w.Write(lines)
+		return err
+	}, caughtUp)
 }
 
 // errStatus maps service errors onto HTTP status codes; anything

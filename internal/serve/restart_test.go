@@ -42,7 +42,7 @@ func TestClientStreamRowsAcrossDaemonRestart(t *testing.T) {
 	// The daemon under test: serve.Server + real TCP listener, restartable
 	// on a fixed address.
 	gate := sweep.NewRowGate(2)
-	srv1, err := Open(dir, Options{rowGate: gate})
+	srv1, err := Open(dir, Options{RowGate: gate})
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}

@@ -38,7 +38,7 @@ func TestFinishedJobsLeaveMemory(t *testing.T) {
 	// First daemon life: a run that fails on its deadline (the gate holds
 	// it at row 2 until the deadline fires) and a run that completes.
 	gate := sweep.NewRowGate(2)
-	s1 := openServer(t, dir, Options{rowGate: gate})
+	s1 := openServer(t, dir, Options{RowGate: gate})
 	failSpec := slowSpec()
 	failSpec.DeadlineS = 0.05
 	failed, err := s1.Submit(failSpec)
@@ -65,7 +65,7 @@ func TestFinishedJobsLeaveMemory(t *testing.T) {
 	// restart, then a run is canceled at row 2 and many cache hits follow.
 	gate2 := sweep.NewRowGate(2)
 	reg := obs.NewRegistry()
-	s := openServer(t, dir, Options{Registry: reg, rowGate: gate2})
+	s := openServer(t, dir, Options{Registry: reg, RowGate: gate2})
 	checkViews := func(s *Server, when string) {
 		t.Helper()
 		for id, wantJSON := range views {
@@ -192,7 +192,7 @@ func TestFinishedJobsLeaveMemory(t *testing.T) {
 func TestLatestReadsOnlyMemory(t *testing.T) {
 	fsys := &countFS{}
 	gate := sweep.NewRowGate(0)
-	s, err := openFS(t.TempDir(), Options{Jobs: 2, rowGate: gate}, fsys)
+	s, err := openFS(t.TempDir(), Options{Jobs: 2, RowGate: gate}, fsys)
 	if err != nil {
 		t.Fatalf("openFS: %v", err)
 	}

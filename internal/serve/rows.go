@@ -4,19 +4,46 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"os"
-	"strings"
 	"time"
 )
 
 // StreamRows sends the campaign's rows with index > after, in order, as
 // canonical records (see sweep.FieldNames), following the dataset as the
 // runner appends to it. It returns once the job is terminal and every
-// durable row has been sent, or when ctx is canceled. The bytes sent are
-// read from the dataset file itself — live spool or completed cache — so a
-// cache-hit replay is byte-identical to the original live stream.
+// durable row has been sent, or when ctx is canceled. It is an adapter over
+// the job's line stream (streamLines), which the HTTP rows endpoint copies
+// out as it is: each NDJSON line is scanned back into its fields.
 func (s *Server) StreamRows(ctx context.Context, id string, after int, send func(index int, fields []string) error) error {
+	return s.streamLines(ctx, id, after, func(lines []byte) error {
+		for len(lines) > 0 {
+			nl := bytes.IndexByte(lines, '\n')
+			index, rec, ok := scanCanonicalRow(lines[:nl])
+			if !ok {
+				return fmt.Errorf("serve: job %s: dataset line is not a canonical row", id)
+			}
+			if err := send(index, rec); err != nil {
+				return err
+			}
+			lines = lines[nl+1:]
+		}
+		return nil
+	}, nil)
+}
+
+// streamLines follows a campaign's dataset file — the live spool while the
+// job runs, the cache once promoted — and hands write the lines of every
+// row with index > after, in order: each call gets the whole lines one read
+// brought in, as one byte range of the file, never a partial line. A
+// cache-hit replay is therefore a byte copy of the file the live stream
+// copied. caughtUp, if non-nil, runs each time the stream has sent all
+// that the runner committed so far and is about to wait for more: the HTTP
+// handler flushes there, once per catch-up rather than once per row.
+// streamLines returns once the job is terminal and every whole line is
+// sent, or when ctx is canceled.
+func (s *Server) streamLines(ctx context.Context, id string, after int, write func(lines []byte) error, caughtUp func()) error {
 	s.mu.Lock()
 	e, kept := s.entryLocked(id)
 	s.mu.Unlock()
@@ -24,22 +51,22 @@ func (s *Server) StreamRows(ctx context.Context, id string, after int, send func
 		return ErrNotFound
 	}
 
-	// Tailer accounting and the per-row stream instruments. With telemetry
-	// disabled the handles are nil and the hot loop below keeps the plain
-	// send — no timing, no wrapper, zero overhead.
+	// Tailer accounting and the stream instruments. With telemetry
+	// disabled the handles are nil and the loop below keeps the plain
+	// write — no timing, no wrapper, zero overhead.
 	if active, rows, stalls := s.tel.tailerHandles(id, kept); rows != nil {
 		if active != nil {
 			active.Add(1)
 			defer active.Add(-1)
 		}
-		inner := send
-		send = func(index int, fields []string) error {
+		inner := write
+		write = func(lines []byte) error {
 			start := time.Now()
-			err := inner(index, fields)
+			err := inner(lines)
 			if time.Since(start) > tailerStallThreshold {
 				stalls.Inc()
 			}
-			rows.Inc()
+			rows.Add(int64(bytes.Count(lines, []byte{'\n'})))
 			return err
 		}
 	}
@@ -77,33 +104,10 @@ func (s *Server) StreamRows(ctx context.Context, id string, after int, send func
 	}
 	defer f.Close()
 
-	// Tail the dataset: the runner flushes whole rows and broadcasts per
-	// row, so complete lines only ever accumulate. The open fd survives
+	// The runner writes whole lines a group at a time and broadcasts per
+	// group, so complete lines only ever accumulate. The open fd survives
 	// the completion rename into the cache.
-	t := lineTailer{f: f}
-	lineNo := 0
-	drain := func() error {
-		for {
-			line, ok, err := t.next()
-			if err != nil {
-				return err
-			}
-			if !ok {
-				return nil
-			}
-			lineNo++
-			if lineNo == 1 {
-				continue // header
-			}
-			idx := lineNo - 2
-			if idx <= after {
-				continue
-			}
-			if err := send(idx, strings.Split(line, ",")); err != nil {
-				return err
-			}
-		}
-	}
+	lc := lineCopier{f: f, skip: after + 1}
 	for {
 		// A terminal job's dataset is complete: one drain finishes it,
 		// without arming the notifier.
@@ -111,17 +115,20 @@ func (s *Server) StreamRows(ctx context.Context, id string, after int, send func
 		terminal := e.job.State.Terminal()
 		s.mu.Unlock()
 		if terminal {
-			return drain()
+			return lc.drain(write)
 		}
 		ch := e.notify.Wait()
-		if err := drain(); err != nil {
+		if err := lc.drain(write); err != nil {
 			return err
 		}
 		s.mu.Lock()
 		terminal = e.job.State.Terminal()
 		s.mu.Unlock()
 		if terminal {
-			return drain()
+			return lc.drain(write)
+		}
+		if caughtUp != nil {
+			caughtUp()
 		}
 		select {
 		case <-ctx.Done():
@@ -141,32 +148,55 @@ func openResult(store *Store, fp string) (file, error) {
 	return f, err
 }
 
-// lineTailer yields complete newline-terminated lines from a growing file.
-// A partial trailing line is carried over until its newline arrives;
-// *os.File keeps returning fresh data on reads past a previous EOF.
-type lineTailer struct {
-	f   file
-	buf []byte
+// lineCopier reads a growing dataset file and hands out its whole lines:
+// it skips the first skip lines, then passes each read's complete lines on
+// as one byte range, carrying a partial trailing line over until its
+// newline arrives (*os.File keeps returning fresh data on reads past a
+// previous EOF).
+type lineCopier struct {
+	f    file
+	skip int
+	buf  []byte
+	n    int // buf[:n] is a carried-over partial line
 }
 
-// next returns the next complete line (without its newline); ok is false
-// when no complete line is available yet.
-func (t *lineTailer) next() (string, bool, error) {
+// lineCopyChunk is the read size: about 90 link rows per read.
+const lineCopyChunk = 64 << 10
+
+// drain hands write every whole line the file holds now.
+func (c *lineCopier) drain(write func([]byte) error) error {
+	if c.buf == nil {
+		c.buf = make([]byte, lineCopyChunk)
+	}
 	for {
-		if i := bytes.IndexByte(t.buf, '\n'); i >= 0 {
-			line := string(t.buf[:i])
-			t.buf = t.buf[i+1:]
-			return line, true, nil
+		if c.n == len(c.buf) { // one line longer than the buffer
+			c.buf = append(c.buf, make([]byte, len(c.buf))...)
 		}
-		var chunk [32 * 1024]byte
-		n, err := t.f.Read(chunk[:])
-		if n > 0 {
-			t.buf = append(t.buf, chunk[:n]...)
-			continue
+		m, err := c.f.Read(c.buf[c.n:])
+		if m > 0 {
+			data := c.buf[:c.n+m]
+			start := 0
+			for c.skip > 0 {
+				i := bytes.IndexByte(data[start:], '\n')
+				if i < 0 {
+					break
+				}
+				start += i + 1
+				c.skip--
+			}
+			end := bytes.LastIndexByte(data, '\n') + 1
+			if start < end {
+				if werr := write(data[start:end]); werr != nil {
+					return werr
+				}
+			}
+			c.n = copy(c.buf, data[end:])
 		}
-		if err == nil || err == io.EOF {
-			return "", false, nil
+		if err == io.EOF || (err == nil && m == 0) {
+			return nil
 		}
-		return "", false, err
+		if err != nil {
+			return err
+		}
 	}
 }

@@ -101,7 +101,7 @@ func TestScenarioSubmitStreamCompletes(t *testing.T) {
 // match an uninterrupted engine run exactly.
 func TestScenarioCancelKeepsCheckpointAndResumes(t *testing.T) {
 	gate := sweep.NewRowGate(2)
-	s := openServer(t, t.TempDir(), Options{rowGate: gate})
+	s := openServer(t, t.TempDir(), Options{RowGate: gate})
 	spec := slowStarSpec()
 	st, err := s.Submit(spec)
 	if err != nil {

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
-	"os"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -57,8 +56,11 @@ type Options struct {
 	// runners shares one content-addressed result set.
 	Blobs BlobStore
 
-	// rowGate parks a local job after a given spooled row (tests only).
-	rowGate *sweep.RowGate
+	// RowGate is a test seam, nil in production: it parks a local job
+	// after the row with index RowGate.At has been spooled, so a test can
+	// cancel, drain or kill a daemon at an exact point of a campaign
+	// instead of racing the clock (see sweep.RowGate).
+	RowGate *sweep.RowGate
 }
 
 // jobEntry pairs a durable job record with its live run state. The record
@@ -603,7 +605,6 @@ func (s *Server) executeJob(e *jobEntry, ctx context.Context) error {
 	opts := spec.options()
 	opts.Metrics = e.metrics
 	opts.Progress = &e.prog
-	opts.OnRow = func(sweep.Row) { e.notify.Broadcast() }
 
 	scn, err := spec.ScenarioSpec()
 	if err != nil {
@@ -632,63 +633,42 @@ func (s *Server) executeJob(e *jobEntry, ctx context.Context) error {
 		opts.Tracer = obs.NewTracer(obs.DefaultTraceCapacity)
 	}
 
-	var (
-		f      file
-		resume bool
-		done   int
-		stream func(context.Context) error
-	)
-	if link {
-		var enc *sweep.Encoder
-		var prefix []sweep.Row
-		f, enc, resume, prefix, err = prepareSpool(s.store, fp, fingerprint, len(cfgs))
-		if err != nil {
-			return err
-		}
-		done = len(prefix)
-		stream = func(ctx context.Context) error {
-			return sweep.StreamConfigs(ctx, cfgs, opts, func(r sweep.Row) error {
-				if err := enc.Encode(r); err != nil {
-					return err
-				}
-				// Flush before the engine checkpoints the row, so the spool
-				// CSV is always at least as long as the checkpoint claims.
-				if err := enc.Flush(); err != nil {
-					return err
-				}
-				return s.opts.rowGate.Pass(ctx, enc.Rows()-1)
-			})
-		}
-	} else {
-		var enc *sweep.ScenarioEncoder
-		f, enc, resume, done, err = prepareScenarioSpool(s.store, fp, fingerprint, len(cfgs))
-		if err != nil {
-			return err
-		}
-		stream = func(ctx context.Context) error {
-			return sweep.StreamScenarios(ctx, scn, cfgs, opts, func(r scenario.Row) error {
-				if err := enc.Encode(r); err != nil {
-					return err
-				}
-				if err := enc.Flush(); err != nil {
-					return err
-				}
-				e.notify.Broadcast() // scenario rows bypass opts.OnRow
-				return s.opts.rowGate.Pass(ctx, enc.Rows()-1)
-			})
-		}
+	spool, resume, _, err := prepareSpool(s.store, fp, fingerprint, len(cfgs), !link)
+	if err != nil {
+		return err
 	}
 	opts.Checkpoint = s.store.SpoolCheckpoint(fp)
 	opts.Resume = resume
+	// Rows are rendered into the spool's buffer as the engine yields them;
+	// the engine's group commit writes each emitted run out in one write,
+	// before it checkpoints the run, and the streamers wake once per run.
+	opts.Commit = func() error {
+		if err := spool.commit(); err != nil {
+			return err
+		}
+		e.notify.Broadcast()
+		return nil
+	}
 
 	s.mu.Lock()
-	e.job.ResumedFrom = done
+	e.job.ResumedFrom = spool.next
 	e.ready = true
 	s.mu.Unlock()
 	e.notify.Broadcast()
 
-	streamErr := stream(ctx)
-	closeErr := f.Close()
+	var streamErr error
+	if link {
+		streamErr = sweep.StreamConfigs(ctx, cfgs, opts, func(r sweep.Row) error {
+			spool.addLink(&r)
+			return s.opts.RowGate.Pass(ctx, spool.next-1)
+		})
+	} else {
+		streamErr = sweep.StreamScenarios(ctx, scn, cfgs, opts, func(r scenario.Row) error {
+			spool.addScenario(&r)
+			return s.opts.RowGate.Pass(ctx, spool.next-1)
+		})
+	}
+	closeErr := spool.f.Close()
 
 	if opts.Tracer != nil {
 		// Best-effort: an interrupted campaign's trace is often exactly
@@ -846,8 +826,13 @@ func (s *Server) statusLocked(e *jobEntry) JobStatus {
 // re-simulating.
 func (s *Server) executeAdaptive(ctx context.Context, e *jobEntry, spec CampaignSpec, sp stack.Space, fingerprint uint64, fp string) error {
 	budget := spec.Adaptive.Budget // normalize guarantees the block
-	f, enc, resume, prefix, err := prepareSpool(s.store, fp, fingerprint, budget)
+	spool, resume, prefix, err := prepareSpool(s.store, fp, fingerprint, budget, false)
 	if err != nil {
+		return err
+	}
+	resumeRows, err := spoolRows(prefix)
+	if err != nil {
+		spool.f.Close()
 		return err
 	}
 
@@ -856,7 +841,7 @@ func (s *Server) executeAdaptive(ctx context.Context, e *jobEntry, spec Campaign
 	aopts.Progress = &e.prog
 	aopts.Checkpoint = s.store.SpoolCheckpoint(fp)
 	aopts.Resume = resume
-	aopts.ResumeRows = prefix
+	aopts.ResumeRows = resumeRows
 	aopts.OnRound = func(rd adaptive.Round) {
 		s.tel.adaptiveRound(rd)
 		s.log.Info("adaptive round",
@@ -871,22 +856,22 @@ func (s *Server) executeAdaptive(ctx context.Context, e *jobEntry, spec Campaign
 	}
 
 	s.mu.Lock()
-	e.job.ResumedFrom = len(prefix)
+	e.job.ResumedFrom = spool.next
 	e.ready = true
 	s.mu.Unlock()
 	e.notify.Broadcast()
 
+	// The explorer checkpoints each row inside this yield, so every row is
+	// its own group: written out before the explorer appends its index.
 	res, streamErr := adaptive.Stream(ctx, sp, aopts, func(r sweep.Row) error {
-		if err := enc.Encode(r); err != nil {
-			return err
-		}
-		if err := enc.Flush(); err != nil {
+		spool.addLink(&r)
+		if err := spool.commit(); err != nil {
 			return err
 		}
 		e.notify.Broadcast()
-		return s.opts.rowGate.Pass(ctx, enc.Rows()-1)
+		return s.opts.RowGate.Pass(ctx, spool.next-1)
 	})
-	closeErr := f.Close()
+	closeErr := spool.f.Close()
 	if streamErr != nil {
 		return streamErr
 	}
@@ -905,144 +890,6 @@ func (s *Server) executeAdaptive(ctx context.Context, e *jobEntry, spec Campaign
 	s.publishPromoted(fp)
 	s.tel.cachePromoted()
 	return nil
-}
-
-// prepareSpool opens the spool dataset positioned after the checkpointed
-// prefix, returning that prefix. With a valid sidecar the existing CSV is
-// rewritten to exactly the checkpointed rows (a crash can leave a torn
-// extra row) and the run resumes; any corrupt or mismatched leftovers are
-// discarded and the campaign starts fresh.
-func prepareSpool(store *Store, fp string, fingerprint uint64, configs int) (file, *sweep.Encoder, bool, []sweep.Row, error) {
-	csvPath := store.SpoolCSV(fp)
-	ckptPath := store.SpoolCheckpoint(fp)
-
-	resume := false
-	var prefix []sweep.Row
-	ck, err := sweep.LoadCheckpoint(ckptPath)
-	switch {
-	case err == nil && ck.Fingerprint == fingerprint && ck.Configs == configs:
-		rows, rerr := readSpoolPrefix(store, csvPath, ck.Done)
-		if rerr == nil {
-			resume = true
-			prefix = rows
-		} else {
-			store.DropSpool(fp) // unusable dataset: start over
-		}
-	case errors.Is(err, os.ErrNotExist):
-		// fresh campaign
-	default:
-		// corrupt or foreign sidecar: start over
-		store.DropSpool(fp)
-	}
-
-	f, err := store.fs.Create(csvPath)
-	if err != nil {
-		return nil, nil, false, nil, err
-	}
-	enc := sweep.NewEncoder(f)
-	if err := enc.WriteHeader(); err != nil {
-		f.Close()
-		return nil, nil, false, nil, err
-	}
-	for _, r := range prefix {
-		if err := enc.Encode(r); err != nil {
-			f.Close()
-			return nil, nil, false, nil, err
-		}
-	}
-	if err := enc.Flush(); err != nil {
-		f.Close()
-		return nil, nil, false, nil, err
-	}
-	return f, enc, resume, prefix, nil
-}
-
-// prepareScenarioSpool is prepareSpool for the scenario row schema: same
-// checkpoint sidecar realignment, scenario codec.
-func prepareScenarioSpool(store *Store, fp string, fingerprint uint64, configs int) (file, *sweep.ScenarioEncoder, bool, int, error) {
-	csvPath := store.SpoolCSV(fp)
-	ckptPath := store.SpoolCheckpoint(fp)
-
-	resume := false
-	var prefix []scenario.Row
-	ck, err := sweep.LoadCheckpoint(ckptPath)
-	switch {
-	case err == nil && ck.Fingerprint == fingerprint && ck.Configs == configs:
-		rows, rerr := readScenarioSpoolPrefix(store, csvPath, ck.Done)
-		if rerr == nil {
-			resume = true
-			prefix = rows
-		} else {
-			store.DropSpool(fp) // unusable dataset: start over
-		}
-	case errors.Is(err, os.ErrNotExist):
-		// fresh campaign
-	default:
-		// corrupt or foreign sidecar: start over
-		store.DropSpool(fp)
-	}
-
-	f, err := store.fs.Create(csvPath)
-	if err != nil {
-		return nil, nil, false, 0, err
-	}
-	enc := sweep.NewScenarioEncoder(f)
-	if err := enc.WriteHeader(); err != nil {
-		f.Close()
-		return nil, nil, false, 0, err
-	}
-	for _, r := range prefix {
-		if err := enc.Encode(r); err != nil {
-			f.Close()
-			return nil, nil, false, 0, err
-		}
-	}
-	if err := enc.Flush(); err != nil {
-		f.Close()
-		return nil, nil, false, 0, err
-	}
-	return f, enc, resume, len(prefix), nil
-}
-
-// readScenarioSpoolPrefix is readSpoolPrefix for the scenario schema.
-func readScenarioSpoolPrefix(store *Store, path string, done int) ([]scenario.Row, error) {
-	f, err := store.fs.Open(path)
-	if errors.Is(err, os.ErrNotExist) && done == 0 {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	rows, err := sweep.ReadScenarioCSVHead(f, done)
-	if err != nil {
-		return nil, err
-	}
-	if len(rows) < done {
-		return nil, fmt.Errorf("serve: spool %s has %d rows, checkpoint records %d", path, len(rows), done)
-	}
-	return rows, nil
-}
-
-// readSpoolPrefix returns the first done rows of the spool dataset; a
-// missing file is fine when nothing was checkpointed yet.
-func readSpoolPrefix(store *Store, path string, done int) ([]sweep.Row, error) {
-	f, err := store.fs.Open(path)
-	if errors.Is(err, os.ErrNotExist) && done == 0 {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	rows, err := sweep.ReadCSVHead(f, done)
-	if err != nil {
-		return nil, err
-	}
-	if len(rows) < done {
-		return nil, fmt.Errorf("serve: spool %s has %d rows, checkpoint records %d", path, len(rows), done)
-	}
-	return rows, nil
 }
 
 // writeTrace exports a job's lifecycle events as a Chrome trace.

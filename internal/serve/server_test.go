@@ -292,7 +292,7 @@ func TestDoneJobMetricsFrozen(t *testing.T) {
 
 func TestCancelRunningKeepsCheckpointAndResumes(t *testing.T) {
 	gate := sweep.NewRowGate(2)
-	s := openServer(t, t.TempDir(), Options{rowGate: gate})
+	s := openServer(t, t.TempDir(), Options{RowGate: gate})
 	spec := slowSpec()
 	st, err := s.Submit(spec)
 	if err != nil {
@@ -347,7 +347,7 @@ func TestDrainRequeuesAndRestartResumes(t *testing.T) {
 	spec := slowSpec()
 
 	gate := sweep.NewRowGate(2)
-	s1, err := Open(dir, Options{rowGate: gate})
+	s1, err := Open(dir, Options{RowGate: gate})
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
@@ -402,7 +402,7 @@ func TestDeadlineFailsButKeepsCheckpoint(t *testing.T) {
 	// The gate holds the job at row 2 until its deadline fires, so the
 	// campaign can never finish first, however fast the host.
 	gate := sweep.NewRowGate(2)
-	s := openServer(t, t.TempDir(), Options{rowGate: gate})
+	s := openServer(t, t.TempDir(), Options{RowGate: gate})
 	spec := slowSpec()
 	spec.DeadlineS = 0.05
 	st, err := s.Submit(spec)
@@ -438,7 +438,7 @@ func TestQueueFullAndCancelQueued(t *testing.T) {
 	// The gate keeps the first job running (parked at its first row) for
 	// the whole test, so the second one stays queued.
 	gate := sweep.NewRowGate(0)
-	s := openServer(t, t.TempDir(), Options{MaxQueue: 2, rowGate: gate})
+	s := openServer(t, t.TempDir(), Options{MaxQueue: 2, RowGate: gate})
 	if _, err := s.Submit(slowSpec()); err != nil {
 		t.Fatalf("Submit: %v", err)
 	}

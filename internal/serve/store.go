@@ -16,11 +16,16 @@ import (
 
 // Store is the service's durable state under one data directory:
 //
-//	<dir>/jobs/<id>.json   job records (atomic rename writes)
-//	<dir>/spool/<fp>.csv   in-progress dataset, appended row by row
-//	<dir>/spool/<fp>.ckpt  the sweep engine's checkpoint sidecar
-//	<dir>/cache/<fp>.csv   completed datasets, keyed by campaign fingerprint
+//	<dir>/jobs/<id>.json     job records (atomic rename writes)
+//	<dir>/spool/<fp>.ndjson  in-progress dataset, appended a group of rows at a time
+//	<dir>/spool/<fp>.ckpt    the sweep engine's checkpoint sidecar
+//	<dir>/cache/<fp>.ndjson  completed datasets, keyed by campaign fingerprint
 //	<dir>/traces/<id>.trace.json  optional per-job lifecycle traces
+//
+// Datasets hold the rows as the wire carries them: one canonical NDJSON
+// line per row, line k carrying row k (spool.go). A file an older daemon
+// left under another extension (a CSV dataset) is never read: its cache
+// entry is a plain miss, its spool a fresh start.
 //
 // Spool files are keyed by fingerprint, not job ID, so a restarted daemon —
 // or a resubmission of a failed campaign — resumes from whatever prefix any
@@ -70,9 +75,13 @@ func (s *Store) jobPath(id string) string {
 	return filepath.Join(s.dir, "jobs", id+".json")
 }
 
-// SpoolCSV returns the in-progress dataset path for a campaign.
+// datasetExt names the daemon's dataset files: spool, cache and blob tier.
+const datasetExt = ".ndjson"
+
+// SpoolCSV returns the in-progress dataset path for a campaign. The name
+// predates the format: the file holds canonical NDJSON rows, not CSV.
 func (s *Store) SpoolCSV(fp string) string {
-	return filepath.Join(s.dir, "spool", fp+".csv")
+	return filepath.Join(s.dir, "spool", fp+datasetExt)
 }
 
 // SpoolCheckpoint returns the checkpoint sidecar path for a campaign.
@@ -82,7 +91,7 @@ func (s *Store) SpoolCheckpoint(fp string) string {
 
 // CachePath returns the completed-dataset path for a campaign fingerprint.
 func (s *Store) CachePath(fp string) string {
-	return filepath.Join(s.dir, "cache", fp+".csv")
+	return filepath.Join(s.dir, "cache", fp+datasetExt)
 }
 
 // TracePath returns the lifecycle-trace path for a job.

@@ -197,7 +197,7 @@ func TestDrainLogsRequeuedCheckpoints(t *testing.T) {
 	var logBuf syncBuffer
 	dir := t.TempDir()
 	gate := sweep.NewRowGate(1)
-	s := openServer(t, dir, Options{Logger: obs.NewLogger(&logBuf, slog.LevelInfo), rowGate: gate})
+	s := openServer(t, dir, Options{Logger: obs.NewLogger(&logBuf, slog.LevelInfo), RowGate: gate})
 
 	// Widen slowSpec to ~10x the configurations: the drain must land while
 	// the single worker is still mid-campaign, and the requeue happens at a

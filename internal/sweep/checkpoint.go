@@ -159,6 +159,7 @@ func campaignFingerprint(cfgs []stack.Config, opts RunOptions) uint64 {
 type checkpointFile struct {
 	f    *os.File
 	done int
+	buf  []byte
 }
 
 // openCheckpoint creates a fresh checkpoint (resume=false, truncating any
@@ -202,16 +203,29 @@ func openCheckpoint(path string, fingerprint uint64, configs int, resume bool) (
 	return &checkpointFile{f: f, done: ck.Done}, nil
 }
 
-// Done returns the processed-prefix length recorded at open time.
+// Done returns the length of the processed prefix recorded so far.
 func (c *checkpointFile) Done() int { return c.done }
 
-// Append records index idx as processed. The engine appends in order, so
-// idx always equals the current prefix length.
+// Append records index idx, which must be the current prefix length, as
+// processed.
 func (c *checkpointFile) Append(idx int) error {
-	if _, err := fmt.Fprintf(c.f, "%d\n", idx); err != nil {
+	if idx != c.done {
+		return fmt.Errorf("sweep: checkpoint append: index %d, want %d", idx, c.done)
+	}
+	return c.AppendThrough(idx + 1)
+}
+
+// AppendThrough records every index from the current prefix length up to
+// n-1 as processed, in one write: the group commit of a run of rows.
+func (c *checkpointFile) AppendThrough(n int) error {
+	c.buf = c.buf[:0]
+	for i := c.done; i < n; i++ {
+		c.buf = append(strconv.AppendInt(c.buf, int64(i), 10), '\n')
+	}
+	if _, err := c.f.Write(c.buf); err != nil {
 		return fmt.Errorf("sweep: checkpoint append: %w", err)
 	}
-	c.done++
+	c.done = n
 	return nil
 }
 
@@ -237,11 +251,15 @@ func OpenCheckpointWriter(path string, fingerprint uint64, configs int, resume b
 	return &CheckpointWriter{f: f}, nil
 }
 
-// Done returns the processed-prefix length recorded at open time.
+// Done returns the length of the processed prefix recorded so far.
 func (w *CheckpointWriter) Done() int { return w.f.Done() }
 
 // Append records index idx as durably processed; indices must be appended
 // consecutively from Done().
 func (w *CheckpointWriter) Append(idx int) error { return w.f.Append(idx) }
+
+// AppendThrough records indices [Done(), n) as durably processed in one
+// write.
+func (w *CheckpointWriter) AppendThrough(n int) error { return w.f.AppendThrough(n) }
 
 func (w *CheckpointWriter) Close() error { return w.f.Close() }

@@ -51,27 +51,62 @@ func RowFromFields(rec []string) (Row, error) {
 	return parseRow(rec)
 }
 
+// ColumnWriter receives a row's columns in schema order (FieldNames, or
+// ScenarioFieldNames for a scenario row), each as its native value. The
+// canonical encoding of a Float column is strconv.FormatFloat(v, 'g', -1,
+// 64) and of an Int or Uint column its decimal form, so an encoder can
+// render the canonical fields straight from the values, without the
+// []string record Fields builds.
+type ColumnWriter interface {
+	Float(v float64)
+	Int(v int)
+	Uint(v uint64)
+	Text(s string)
+}
+
+// WriteColumns feeds the row's columns to w in schema order: the one place
+// the link schema's column order is spelled out.
+func (r *Row) WriteColumns(w ColumnWriter) {
+	c, rep := &r.Config, &r.Report
+	w.Float(c.DistanceM)
+	w.Int(int(c.TxPower))
+	w.Int(c.MaxTries)
+	w.Float(c.RetryDelay)
+	w.Int(c.QueueCap)
+	w.Float(c.PktInterval)
+	w.Int(c.PayloadBytes)
+	w.Uint(r.Seed)
+	w.Int(r.Packets)
+	for _, v := range [...]float64{
+		rep.MeanSNR, rep.SDSNR, rep.MeanRSSI, rep.SDRSSI,
+		rep.PER, rep.MeanTries,
+		rep.EnergyPerBitMicroJ, rep.ListenEnergyMicroJ,
+		rep.RadioEnergyPerBitMicroJ, rep.GoodputKbps,
+		rep.MeanDelay, rep.MeanServiceTime, rep.MeanQueueDelay,
+		rep.PLR, rep.PLRQueue, rep.PLRRadio, rep.Utilization,
+	} {
+		w.Float(v)
+	}
+	w.Int(rep.Generated)
+	w.Int(rep.Delivered)
+	w.Int(rep.QueueDrops)
+	w.Int(rep.RadioDrops)
+}
+
+// recordWriter collects the canonical field strings of a row.
+type recordWriter []string
+
+func (r *recordWriter) Float(v float64) { *r = append(*r, strconv.FormatFloat(v, 'g', -1, 64)) }
+func (r *recordWriter) Int(v int)       { *r = append(*r, strconv.Itoa(v)) }
+func (r *recordWriter) Uint(v uint64)   { *r = append(*r, strconv.FormatUint(v, 10)) }
+func (r *recordWriter) Text(s string)   { *r = append(*r, s) }
+
 // rowRecord formats one row using the canonical field encoding; the output
 // is byte-stable, so re-encoding a parsed dataset reproduces it exactly.
 func rowRecord(r Row) []string {
-	f := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
-	d := strconv.Itoa
-	return []string{
-		f(r.Config.DistanceM), d(int(r.Config.TxPower)), d(r.Config.MaxTries),
-		f(r.Config.RetryDelay), d(r.Config.QueueCap),
-		f(r.Config.PktInterval), d(r.Config.PayloadBytes),
-		strconv.FormatUint(r.Seed, 10), d(r.Packets),
-		f(r.Report.MeanSNR), f(r.Report.SDSNR),
-		f(r.Report.MeanRSSI), f(r.Report.SDRSSI),
-		f(r.Report.PER), f(r.Report.MeanTries),
-		f(r.Report.EnergyPerBitMicroJ), f(r.Report.ListenEnergyMicroJ),
-		f(r.Report.RadioEnergyPerBitMicroJ), f(r.Report.GoodputKbps),
-		f(r.Report.MeanDelay), f(r.Report.MeanServiceTime), f(r.Report.MeanQueueDelay),
-		f(r.Report.PLR), f(r.Report.PLRQueue), f(r.Report.PLRRadio),
-		f(r.Report.Utilization),
-		d(r.Report.Generated), d(r.Report.Delivered),
-		d(r.Report.QueueDrops), d(r.Report.RadioDrops),
-	}
+	rec := make(recordWriter, 0, len(csvHeader))
+	r.WriteColumns(&rec)
+	return rec
 }
 
 // Encoder streams dataset rows to CSV one at a time — the writing half of

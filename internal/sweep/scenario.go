@@ -215,6 +215,7 @@ func StreamScenarios(ctx context.Context, spec scenario.Spec, cfgs []stack.Confi
 
 	pending := make(map[int]outcome, window)
 	next := start
+	group := groupCommit{commit: opts.Commit, ck: ck, metrics: opts.Metrics, done: start}
 	var failures []*ConfigError
 	var terminal error
 
@@ -270,22 +271,13 @@ loop:
 				}
 				opts.Metrics.IncRows()
 			}
-			if ck != nil {
-				var c0 time.Time
-				if opts.Metrics != nil {
-					c0 = time.Now()
-				}
-				if err := ck.Append(next); err != nil {
-					terminal = err
-					break loop
-				}
-				if opts.Metrics != nil {
-					d := time.Since(c0)
-					sub += d
-					opts.Metrics.StageAdd(obs.StageCheckpoint, d)
-				}
-			}
 			next++
+		}
+		d, err := group.through(next)
+		sub += d
+		if err != nil {
+			terminal = err
+			break loop
 		}
 		if opts.Metrics != nil {
 			opts.Metrics.StageAdd(obs.StageReorder, time.Since(arrival)-sub)
@@ -293,6 +285,9 @@ loop:
 		if next == len(cfgs) {
 			break
 		}
+	}
+	if _, err := group.through(next); err != nil && terminal == nil {
+		terminal = err
 	}
 	cancel()
 	// Wait for them: once the run returns, nothing updates Progress or

@@ -4,7 +4,6 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
-	"strconv"
 
 	"wsnlink/internal/scenario"
 )
@@ -45,20 +44,28 @@ func ScenarioFieldNames() []string {
 // byte-stable: ScenarioRowFromFields followed by ScenarioRowFields
 // reproduces the input exactly.
 func ScenarioRowFields(r scenario.Row) []string {
-	base := rowRecord(Row{Config: r.Config, Report: r.Report, Seed: r.Seed, Packets: r.Packets})
-	f := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
-	out := make([]string, 0, len(scenarioCSVHeader))
-	out = append(out, string(r.Scenario))
-	out = append(out, base...)
-	out = append(out,
-		strconv.Itoa(r.Net.Nodes),
-		f(r.Net.OfferedLoadPPS), f(r.Net.AggGoodputKbps),
-		f(r.Net.CollisionRate), f(r.Net.CCAFailRate),
-		f(r.Net.DutyCycle), f(r.Net.WakeIntervalS), f(r.Net.LatencyS),
-		f(r.Net.InterfererDuty), f(r.Net.SNRPenaltyDB),
-		f(r.Net.SpeedMPS), f(r.Net.MeanDistanceM),
-	)
-	return out
+	rec := make(recordWriter, 0, len(scenarioCSVHeader))
+	WriteScenarioColumns(&r, &rec)
+	return rec
+}
+
+// WriteScenarioColumns feeds a scenario row's columns to w in schema
+// order: the kind tag, the link row's columns, then the network columns.
+func WriteScenarioColumns(r *scenario.Row, w ColumnWriter) {
+	w.Text(string(r.Scenario))
+	base := Row{Config: r.Config, Report: r.Report, Seed: r.Seed, Packets: r.Packets}
+	base.WriteColumns(w)
+	n := &r.Net
+	w.Int(n.Nodes)
+	for _, v := range [...]float64{
+		n.OfferedLoadPPS, n.AggGoodputKbps,
+		n.CollisionRate, n.CCAFailRate,
+		n.DutyCycle, n.WakeIntervalS, n.LatencyS,
+		n.InterfererDuty, n.SNRPenaltyDB,
+		n.SpeedMPS, n.MeanDistanceM,
+	} {
+		w.Float(v)
+	}
 }
 
 // ScenarioRowFromFields parses one canonical scenario record.

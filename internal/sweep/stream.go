@@ -244,6 +244,7 @@ func StreamConfigs(ctx context.Context, cfgs []stack.Config, opts RunOptions, yi
 	// contiguous prefix. pending never exceeds window entries.
 	pending := make(map[int]outcome, window)
 	next := start
+	group := groupCommit{commit: opts.Commit, ck: ck, metrics: opts.Metrics, done: start}
 	var failures []*ConfigError
 	var terminal error
 
@@ -304,22 +305,13 @@ loop:
 				}
 				opts.Metrics.IncRows()
 			}
-			if ck != nil {
-				var c0 time.Time
-				if opts.Metrics != nil {
-					c0 = time.Now()
-				}
-				if err := ck.Append(next); err != nil {
-					terminal = err
-					break loop
-				}
-				if opts.Metrics != nil {
-					d := time.Since(c0)
-					sub += d
-					opts.Metrics.StageAdd(obs.StageCheckpoint, d)
-				}
-			}
 			next++
+		}
+		d, err := group.through(next)
+		sub += d
+		if err != nil {
+			terminal = err
+			break loop
 		}
 		if opts.Metrics != nil {
 			opts.Metrics.StageAdd(obs.StageReorder, time.Since(arrival)-sub)
@@ -327,6 +319,10 @@ loop:
 		if next == len(cfgs) {
 			break
 		}
+	}
+	// Commit what was yielded before the stop; a failed commit stays final.
+	if _, err := group.through(next); err != nil && terminal == nil {
+		terminal = err
 	}
 	cancel() // release dispatcher and any worker blocked on results
 	// Wait for them: once the run returns, nothing updates Progress or
@@ -351,4 +347,54 @@ loop:
 		return &CampaignError{Failures: failures}
 	}
 	return nil
+}
+
+// groupCommit closes the emitter's groups of handled rows: the sink's
+// Commit hook first, then one checkpoint append covering the group, so the
+// sink's dataset is always at least as long as the sidecar claims.
+type groupCommit struct {
+	commit  func() error
+	ck      *checkpointFile
+	metrics *obs.Metrics
+	done    int   // configurations [0, done) are committed
+	err     error // a failed commit is final
+}
+
+// through commits the configurations handled since the last call, up to
+// index next-1, and returns the time it took. The sink's write adds to the
+// yield stage's time, the sidecar append is one checkpoint sample per
+// configuration, so both stages keep counting configurations.
+func (g *groupCommit) through(next int) (time.Duration, error) {
+	if g.err != nil || next == g.done {
+		return 0, g.err
+	}
+	var t0 time.Time
+	if g.metrics != nil {
+		t0 = time.Now()
+	}
+	if g.commit != nil {
+		if g.err = g.commit(); g.err != nil {
+			return 0, fmt.Errorf("sweep: commit rows %d..%d: %w", g.done, next-1, g.err)
+		}
+		if g.metrics != nil {
+			g.metrics.StageAddN(obs.StageYield, 0, time.Since(t0))
+		}
+	}
+	if g.ck != nil {
+		var c0 time.Time
+		if g.metrics != nil {
+			c0 = time.Now()
+		}
+		if g.err = g.ck.AppendThrough(next); g.err != nil {
+			return 0, g.err
+		}
+		if g.metrics != nil {
+			g.metrics.StageAddN(obs.StageCheckpoint, int64(next-g.done), time.Since(c0))
+		}
+	}
+	g.done = next
+	if g.metrics == nil {
+		return 0, nil
+	}
+	return time.Since(t0), nil
 }

@@ -141,6 +141,14 @@ type RunOptions struct {
 	// from the goroutine running the stream (after yield). Use it for
 	// lightweight observation; heavy work here backpressures the sweep.
 	OnRow func(Row)
+	// Commit, if non-nil, closes each group of yielded rows. The emitter
+	// calls it once per emitted run — the rows one arrival made
+	// contiguous — after yield has taken the run's last row and before
+	// the run is checkpointed, and once more when the stream stops, so
+	// every yielded row is committed. A sink that buffers rows in yield
+	// writes them out here: one write per run instead of one per row,
+	// and its dataset stays at least as long as the checkpoint.
+	Commit func() error
 	// ErrorPolicy selects fail-fast (default) or collect-and-continue
 	// handling of per-configuration errors.
 	ErrorPolicy ErrorPolicy
