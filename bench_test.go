@@ -16,6 +16,7 @@ package wsnlink_test
 
 import (
 	"context"
+	"fmt"
 	"io"
 	"testing"
 
@@ -194,7 +195,9 @@ func BenchmarkSweep16(b *testing.B) {
 // BenchmarkSweepStreaming measures the streaming engine on the same
 // 16-configuration space as BenchmarkSweep16. The allocation figure is the
 // interesting number: streaming holds only O(workers) rows live, so the
-// per-iteration footprint must not grow with the space size.
+// per-iteration footprint must not grow with the space size. Its 16
+// configurations fit in one 64-configuration block, so only one worker ever
+// runs; BenchmarkStreamConfigsWorkers measures how the engine scales.
 func BenchmarkSweepStreaming(b *testing.B) {
 	space := stack.Space{
 		DistancesM:    []float64{25, 35},
@@ -218,6 +221,41 @@ func BenchmarkSweepStreaming(b *testing.B) {
 		if rows != 16 {
 			b.Fatalf("rows = %d", rows)
 		}
+	}
+}
+
+// BenchmarkStreamConfigsWorkers measures how the streaming engine scales
+// with its worker count on campaignbench's fresh-large campaign: 1024
+// configurations (4 distances × 8 powers × 2 retry limits × 2 packet
+// intervals × 8 payloads) at 250 packets, 16 blocks of 64. Run it with
+// -cpu 2 or more: Workers 2 on one CPU only interleaves.
+func BenchmarkStreamConfigsWorkers(b *testing.B) {
+	cfgs := stack.Space{
+		DistancesM:    []float64{5, 15, 25, 35},
+		TxPowers:      []wsnlink.PowerLevel{3, 7, 11, 15, 19, 23, 27, 31},
+		MaxTries:      []int{1, 3},
+		RetryDelays:   []float64{0.03},
+		QueueCaps:     []int{30},
+		PktIntervals:  []float64{0.03, 0.1},
+		PayloadsBytes: []int{5, 20, 35, 50, 65, 80, 95, 110},
+	}.All()
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("Workers=%d", workers), func(b *testing.B) {
+			ctx := context.Background()
+			rows := 0
+			for i := 0; i < b.N; i++ {
+				err := sweep.StreamConfigs(ctx, cfgs, sweep.RunOptions{
+					Packets: 250, BaseSeed: uint64(i), Workers: workers,
+				}, func(sweep.Row) error { rows++; return nil })
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+			if rows != b.N*len(cfgs) {
+				b.Fatalf("rows = %d, want %d", rows, b.N*len(cfgs))
+			}
+			b.ReportMetric(float64(rows)/b.Elapsed().Seconds(), "rows/s")
+		})
 	}
 }
 

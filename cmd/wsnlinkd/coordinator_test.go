@@ -12,13 +12,18 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
-	"sync/atomic"
 	"syscall"
 	"testing"
 	"time"
 
 	"wsnlink/internal/serve"
+	"wsnlink/internal/sweep"
 )
+
+// parkAtEnv, set to a row index in a daemon child's environment, parks the
+// child's first local campaign after that row is spooled; the child then
+// creates a file named parked in its -data-dir.
+const parkAtEnv = "WSNLINKD_TEST_PARK_AT"
 
 // TestMain doubles the test binary as a wsnlinkd executable: with
 // WSNLINKD_TEST_DAEMON=1 in the environment it runs the daemon main loop
@@ -29,6 +34,12 @@ func TestMain(m *testing.M) {
 	if os.Getenv("WSNLINKD_TEST_DAEMON") == "1" {
 		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 		defer stop()
+		if at := os.Getenv(parkAtEnv); at != "" {
+			if err := parkFromEnv(at, os.Args[1:]); err != nil {
+				fmt.Fprintln(os.Stderr, "wsnlinkd:", err)
+				os.Exit(2)
+			}
+		}
 		if err := run(ctx, os.Args[1:], os.Stdout, os.Stderr); err != nil {
 			fmt.Fprintln(os.Stderr, "wsnlinkd:", err)
 			os.Exit(1)
@@ -38,15 +49,42 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
+// parkFromEnv arms rowGate at row at and, once a campaign parks there,
+// creates the parked file in the -data-dir named in args.
+func parkFromEnv(at string, args []string) error {
+	row, err := strconv.Atoi(at)
+	if err != nil {
+		return fmt.Errorf("%s: %v", parkAtEnv, err)
+	}
+	dataDir := ""
+	for i := 0; i+1 < len(args); i++ {
+		if args[i] == "-data-dir" {
+			dataDir = args[i+1]
+		}
+	}
+	if dataDir == "" {
+		return fmt.Errorf("%s needs -data-dir", parkAtEnv)
+	}
+	rowGate = sweep.NewRowGate(row)
+	go func() {
+		<-rowGate.Parked()
+		if err := os.WriteFile(filepath.Join(dataDir, "parked"), nil, 0o644); err != nil {
+			fmt.Fprintln(os.Stderr, "wsnlinkd:", err)
+		}
+	}()
+	return nil
+}
+
 // procRunner is one runner daemon in its own OS process.
 type procRunner struct {
 	cmd *exec.Cmd
 	url string
 }
 
-// startRunnerProc launches the test binary as a wsnlinkd runner and waits
-// for it to publish its listen address via -addr-file.
-func startRunnerProc(t *testing.T, dir string) *procRunner {
+// startRunnerProc launches the test binary as a wsnlinkd runner, with env
+// added to its environment, and waits for it to publish its listen address
+// via -addr-file.
+func startRunnerProc(t *testing.T, dir string, env ...string) *procRunner {
 	t.Helper()
 	addrFile := filepath.Join(dir, "addr")
 	cmd := exec.Command(os.Args[0],
@@ -55,7 +93,7 @@ func startRunnerProc(t *testing.T, dir string) *procRunner {
 		"-addr-file", addrFile,
 		"-log-level", "error",
 	)
-	cmd.Env = append(os.Environ(), "WSNLINKD_TEST_DAEMON=1")
+	cmd.Env = append(append(os.Environ(), "WSNLINKD_TEST_DAEMON=1"), env...)
 	cmd.Stdout = io.Discard
 	cmd.Stderr = io.Discard
 	if err := cmd.Start(); err != nil {
@@ -126,11 +164,21 @@ func TestCoordinatorShardedCampaignSurvivesRunnerKill(t *testing.T) {
 	want := rawRows(t, ref.url, refSt.ID)
 	ref.stop()
 
-	// Fleet: three runner processes plus an in-process coordinator.
+	// Fleet: three runner processes plus an in-process coordinator. Runner
+	// 0 hosts shards 0 and 3 and parks the first of them after spooling its
+	// row 1, with row 0 checkpointed: the kill below lands strictly
+	// mid-shard, on an open stream, at the same row every run.
 	runners := make([]*procRunner, 3)
 	urls := make([]string, 3)
+	parked := ""
 	for i := range runners {
-		runners[i] = startRunnerProc(t, t.TempDir())
+		dir := t.TempDir()
+		var env []string
+		if i == 0 {
+			env = []string{parkAtEnv + "=1"}
+			parked = filepath.Join(dir, "data", "parked")
+		}
+		runners[i] = startRunnerProc(t, dir, env...)
 		urls[i] = runners[i].url
 	}
 	coord := startDaemon(t, t.TempDir(),
@@ -144,36 +192,18 @@ func TestCoordinatorShardedCampaignSurvivesRunnerKill(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Submit to coordinator: %v", err)
 	}
-
-	// Kill a runner whose shard job is running and has already
-	// checkpointed a row: the kill lands strictly mid-shard, so it always
-	// interrupts an open stream. (Runner-side state, not the coordinator's
-	// merge cursor — the ordered merge can lag runner completion.)
-	var killed atomic.Bool
-	go func() {
-		rcls := make([]*serve.Client, len(runners))
-		for i, r := range runners {
-			rcls[i] = serve.NewClient(r.url)
+	// The parked runner stays parked until killed, so waiting for its file
+	// races nothing.
+	for {
+		if _, err := os.Stat(parked); err == nil {
+			break
 		}
-		deadline := time.Now().Add(2 * time.Minute)
-		for !time.Now().After(deadline) {
-			for i, rc := range rcls {
-				lr, err := rc.List(ctx)
-				if err != nil {
-					continue
-				}
-				for _, j := range lr.Jobs {
-					if j.State == serve.StateRunning && j.Done >= 1 {
-						runners[i].kill()
-						killed.Store(true)
-						return
-					}
-				}
-			}
-			time.Sleep(2 * time.Millisecond)
+		if ctx.Err() != nil {
+			t.Fatal("runner 0 never parked its shard; no runner was killed")
 		}
-		t.Error("campaign never made progress; no runner was killed")
-	}()
+		time.Sleep(2 * time.Millisecond)
+	}
+	runners[0].kill()
 
 	rows := 0
 	if _, err := c.StreamRows(ctx, st.ID, -1, func(r serve.StreamedRow) error {
@@ -188,9 +218,6 @@ func TestCoordinatorShardedCampaignSurvivesRunnerKill(t *testing.T) {
 	fin := waitJob(t, c, st.ID, func(s serve.JobStatus) bool { return s.State.Terminal() }, "sharded campaign")
 	if fin.State != serve.StateDone {
 		t.Fatalf("campaign finished %q, want done", fin.State)
-	}
-	if !killed.Load() {
-		t.Fatal("no runner was killed; the loss path went untested")
 	}
 	if rows != st.Configs {
 		t.Fatalf("streamed %d rows, want %d", rows, st.Configs)

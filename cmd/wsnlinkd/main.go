@@ -65,7 +65,12 @@ import (
 	"wsnlink/internal/fabric"
 	"wsnlink/internal/obs"
 	"wsnlink/internal/serve"
+	"wsnlink/internal/sweep"
 )
+
+// rowGate parks a local campaign after a given spooled row (tests only; see
+// serve.Options.RowGate). It is nil in the daemon.
+var rowGate *sweep.RowGate
 
 func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -166,6 +171,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		Logger:   logger,
 		Executor: executor,
 		Blobs:    blobs,
+		RowGate:  rowGate,
 	})
 	if err != nil {
 		return err

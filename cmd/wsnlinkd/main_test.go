@@ -33,9 +33,9 @@ func quickSpec() serve.CampaignSpec {
 	}
 }
 
-// slowSpec runs long enough (12 configurations, single worker, heavy packet
-// count — hundreds of milliseconds) to kill the daemon mid-campaign even on
-// a single-CPU machine, where the busy sweep delays everything else.
+// slowSpec is the campaign the kill/restart tests interrupt: 12
+// configurations on one worker at a heavy packet count. The tests park it
+// at a fixed row with rowGate rather than racing its run time.
 func slowSpec() serve.CampaignSpec {
 	return serve.CampaignSpec{
 		Space: serve.SpaceSpec{
@@ -51,9 +51,9 @@ func slowSpec() serve.CampaignSpec {
 		BaseSeed: 7,
 		Workers:  1,
 		// One config per kernel call: rows (and checkpoint appends) land
-		// one at a time, so the kill below can hit a strict mid-campaign
-		// prefix. The resumed/reference runs inherit the same spec, and
-		// batch size is not part of the campaign fingerprint.
+		// one at a time, so every row before the gate is checkpointed when
+		// the run parks. The resumed/reference runs inherit the same spec,
+		// and batch size is not part of the campaign fingerprint.
 		BatchSize: 1,
 	}
 }
@@ -113,6 +113,27 @@ func startDaemon(t *testing.T, dir string, extra ...string) *daemon {
 	}
 	t.Cleanup(d.stop)
 	return d
+}
+
+// startGatedDaemon starts an in-process daemon whose first local campaign
+// parks after spooling row at (see sweep.RowGate).
+func startGatedDaemon(t *testing.T, dir string, at int) (*daemon, *sweep.RowGate) {
+	t.Helper()
+	gate := sweep.NewRowGate(at)
+	rowGate = gate
+	// run has read rowGate by the time the daemon announces its address.
+	defer func() { rowGate = nil }()
+	return startDaemon(t, dir), gate
+}
+
+// awaitParked waits until a gated campaign is parked at its row.
+func awaitParked(t *testing.T, ctx context.Context, gate *sweep.RowGate) {
+	t.Helper()
+	select {
+	case <-gate.Parked():
+	case <-ctx.Done():
+		t.Fatalf("campaign never reached row %d", gate.At)
+	}
 }
 
 // stop shuts the daemon down via its signal context (the SIGTERM path) and
@@ -252,33 +273,22 @@ func TestDaemonKillRestartResume(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()
 
-	d1 := startDaemon(t, dir)
+	// The job parks after spooling row 2, so the stop lands strictly
+	// mid-run at the same row every time.
+	d1, gate := startGatedDaemon(t, dir, 2)
 	c1 := serve.NewClient(d1.url)
 	st, err := c1.Submit(ctx, spec)
 	if err != nil {
 		t.Fatalf("Submit: %v", err)
 	}
+	awaitParked(t, ctx, gate)
+	d1.stop()
 
-	// Wait for mid-campaign progress by watching the checkpoint sidecar on
-	// disk rather than polling over HTTP: on a single-CPU machine the
-	// CPU-bound sweep can starve an HTTP round trip for the whole campaign,
-	// and the stop must land while the job is strictly mid-run.
 	store, err := serve.OpenStore(dir)
 	if err != nil {
 		t.Fatalf("OpenStore: %v", err)
 	}
 	ckPath := store.SpoolCheckpoint(st.Fingerprint)
-	deadline := time.Now().Add(120 * time.Second)
-	for {
-		if ck, err := sweep.LoadCheckpoint(ckPath); err == nil && ck.Done >= 2 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("timed out waiting for mid-campaign checkpoint progress")
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	d1.stop()
 
 	// The interrupted prefix must be checkpointed under the campaign
 	// fingerprint the job advertises.
@@ -289,8 +299,8 @@ func TestDaemonKillRestartResume(t *testing.T) {
 	if obs.FormatFingerprint(ck.Fingerprint) != st.Fingerprint {
 		t.Fatalf("checkpoint fingerprint %016x does not match job %s", ck.Fingerprint, st.Fingerprint)
 	}
-	if ck.Done == 0 || ck.Done >= st.Configs {
-		t.Fatalf("checkpoint Done = %d, want a strict mid-campaign prefix of %d", ck.Done, st.Configs)
+	if ck.Done != gate.At {
+		t.Fatalf("checkpoint Done = %d, want the %d rows before the gate", ck.Done, gate.At)
 	}
 
 	// Restart on the same data directory: the queued job resumes by itself.
@@ -335,31 +345,21 @@ func TestDaemonStarScenarioResumeAndCacheReplay(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()
 
-	d1 := startDaemon(t, dir)
+	// Stop mid-campaign at row 2, as TestDaemonKillRestartResume does.
+	d1, gate := startGatedDaemon(t, dir, 2)
 	c1 := serve.NewClient(d1.url)
 	st, err := c1.Submit(ctx, spec)
 	if err != nil {
 		t.Fatalf("Submit: %v", err)
 	}
+	awaitParked(t, ctx, gate)
+	d1.stop()
 
-	// Kill mid-campaign, watching the checkpoint sidecar on disk (see
-	// TestDaemonKillRestartResume for why not over HTTP).
 	store, err := serve.OpenStore(dir)
 	if err != nil {
 		t.Fatalf("OpenStore: %v", err)
 	}
 	ckPath := store.SpoolCheckpoint(st.Fingerprint)
-	deadline := time.Now().Add(120 * time.Second)
-	for {
-		if ck, err := sweep.LoadCheckpoint(ckPath); err == nil && ck.Done >= 2 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("timed out waiting for mid-campaign checkpoint progress")
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	d1.stop()
 
 	ck, err := sweep.LoadCheckpoint(ckPath)
 	if err != nil {
@@ -368,8 +368,8 @@ func TestDaemonStarScenarioResumeAndCacheReplay(t *testing.T) {
 	if obs.FormatFingerprint(ck.Fingerprint) != st.Fingerprint {
 		t.Fatalf("checkpoint fingerprint %016x does not match job %s", ck.Fingerprint, st.Fingerprint)
 	}
-	if ck.Done == 0 || ck.Done >= st.Configs {
-		t.Fatalf("checkpoint Done = %d, want a strict mid-campaign prefix of %d", ck.Done, st.Configs)
+	if ck.Done != gate.At {
+		t.Fatalf("checkpoint Done = %d, want the %d rows before the gate", ck.Done, gate.At)
 	}
 
 	// Restart on the same data directory: the star campaign resumes itself.

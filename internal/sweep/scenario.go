@@ -165,12 +165,15 @@ func StreamScenarios(ctx context.Context, spec scenario.Spec, cfgs []stack.Confi
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			// A per-worker child context: see StreamConfigs.
+			wctx, wcancel := context.WithCancel(sctx)
+			defer wcancel()
 			for i := range jobs {
 				var t0 time.Time
 				if opts.Metrics != nil {
 					t0 = time.Now()
 				}
-				row, err := runOneScenario(sctx, spec, cfgs[i], i, opts, fingerprint)
+				row, err := runOneScenario(wctx, spec, cfgs[i], i, opts, fingerprint)
 				if opts.Metrics != nil {
 					d := time.Since(t0)
 					opts.Metrics.ObserveConfig(d)

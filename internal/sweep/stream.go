@@ -114,6 +114,12 @@ func StreamConfigs(ctx context.Context, cfgs []stack.Config, opts RunOptions, yi
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			// The kernel checks ctx.Err once per packet, and up to Go 1.24
+			// a cancelCtx's Err takes its mutex: workers sharing sctx would
+			// serialize on that lock. A per-worker child reports sctx's
+			// error unchanged and keeps the lock private to this goroutine.
+			wctx, wcancel := context.WithCancel(sctx)
+			defer wcancel()
 			// Per-worker batch state, allocated once on first block: the
 			// kernel arena (lanes, lookup tables, result storage) and the
 			// seed scratch buffer.
@@ -129,7 +135,7 @@ func StreamConfigs(ctx context.Context, cfgs []stack.Config, opts RunOptions, yi
 					if opts.Metrics != nil {
 						t0 = time.Now()
 					}
-					row, err := runOne(sctx, cfgs[bstart], bstart, opts, fingerprint)
+					row, err := runOne(wctx, cfgs[bstart], bstart, opts, fingerprint)
 					if opts.Metrics != nil {
 						d := time.Since(t0)
 						opts.Metrics.ObserveConfig(d)
@@ -170,7 +176,7 @@ func StreamConfigs(ctx context.Context, cfgs []stack.Config, opts RunOptions, yi
 						return opts.traceSpan(fingerprint, base+j)
 					}
 				}
-				res, lerrs, berr := sim.RunBatch(sctx, cfgs[bstart:bstart+n], bopts)
+				res, lerrs, berr := sim.RunBatch(wctx, cfgs[bstart:bstart+n], bopts)
 				if opts.Metrics != nil {
 					// Per-config durations inside a block are not observable
 					// individually; attribute the block evenly so counts and

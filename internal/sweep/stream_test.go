@@ -4,11 +4,16 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"io"
 	"path/filepath"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"wsnlink/internal/phy"
+	"wsnlink/internal/scenario"
 	"wsnlink/internal/stack"
 )
 
@@ -338,5 +343,223 @@ func TestReadCSVHead(t *testing.T) {
 	}
 	if _, err := ReadCSVHead(bytes.NewReader(buf.Bytes()), -1); err == nil {
 		t.Error("negative head count should error")
+	}
+}
+
+// midBlockModel is the calibrated error model with a trap for landing a
+// stop inside the kernel. Once armed, the first want calls park until wake
+// is closed. A parked call holds its goroutine, so want parked calls are
+// want distinct workers, each mid-block between two per-packet context
+// checks (the kernel asks the model once per transmission).
+type midBlockModel struct {
+	phy.Calibrated
+	want int
+	wake <-chan struct{}
+
+	armed     atomic.Bool
+	mu        sync.Mutex
+	parked    int
+	allParked chan struct{} // closed once want calls are parked
+	late      bool          // wake was already closed when the last call parked
+	after     int           // calls made once every parked call was woken
+}
+
+func newMidBlockModel(want int, wake <-chan struct{}) *midBlockModel {
+	return &midBlockModel{Calibrated: phy.NewCalibrated(), want: want, wake: wake,
+		allParked: make(chan struct{})}
+}
+
+func (m *midBlockModel) DataPER(snrDB float64, payloadBytes int) float64 {
+	if m.armed.Load() {
+		m.mu.Lock()
+		park := m.parked < m.want
+		if park {
+			m.parked++
+			if m.parked == m.want {
+				select {
+				case <-m.wake:
+					m.late = true
+				default:
+				}
+				close(m.allParked)
+			}
+		} else {
+			m.after++ // every worker is parked until wake closes
+		}
+		m.mu.Unlock()
+		if park {
+			<-m.wake
+		}
+	}
+	return m.Calibrated.DataPER(snrDB, payloadBytes)
+}
+
+// csvStream runs one engine's campaign, encoding each row as CSV to w (the
+// header first when header is set) and calling onRow with the number of
+// rows yielded so far.
+type csvStream func(ctx context.Context, opts RunOptions, w io.Writer, header bool, onRow func(int)) error
+
+func linkCSVStream(cfgs []stack.Config) csvStream {
+	return func(ctx context.Context, opts RunOptions, w io.Writer, header bool, onRow func(int)) error {
+		enc := NewEncoder(w)
+		if header {
+			if err := enc.WriteHeader(); err != nil {
+				return err
+			}
+		}
+		err := StreamConfigs(ctx, cfgs, opts, func(r Row) error {
+			if err := enc.Encode(r); err != nil {
+				return err
+			}
+			onRow(enc.Rows())
+			return nil
+		})
+		if ferr := enc.Flush(); err == nil {
+			err = ferr
+		}
+		return err
+	}
+}
+
+func scenarioCSVStream(spec scenario.Spec, cfgs []stack.Config) csvStream {
+	return func(ctx context.Context, opts RunOptions, w io.Writer, header bool, onRow func(int)) error {
+		enc := NewScenarioEncoder(w)
+		if header {
+			if err := enc.WriteHeader(); err != nil {
+				return err
+			}
+		}
+		err := StreamScenarios(ctx, spec, cfgs, opts, func(r scenario.Row) error {
+			if err := enc.Encode(r); err != nil {
+				return err
+			}
+			onRow(enc.Rows())
+			return nil
+		})
+		if ferr := enc.Flush(); err == nil {
+			err = ferr
+		}
+		return err
+	}
+}
+
+// TestStopMidBlockTwoWorkers lands a cancel and an expiring deadline while
+// both workers of a two-worker campaign are inside the kernel, in the link
+// engine (four-configuration blocks) and the star engine. Each worker
+// checks its own child of the run's context, so the stop must reach every
+// child with the parent's error. The yield hook arms the trap at a fixed
+// row; the stop lands once both workers are parked in it. The sidecar must
+// then hold exactly the yielded rows, and resuming from it must give the
+// uninterrupted run's bytes.
+func TestStopMidBlockTwoWorkers(t *testing.T) {
+	const workers = 2
+	engines := []struct {
+		name   string
+		n      int
+		armAt  int // rows yielded before the trap is armed
+		stream csvStream
+		opts   RunOptions
+		// drain bounds the transmissions a canceled worker may still
+		// make: link, the current packet's retries (MaxTries ≤ 5); star,
+		// the packets already queued at its 3 nodes (QueueCap 5 + 1 in
+		// service, MaxTries 5), which drain after generation stops.
+		drain int
+	}{
+		{"link", 96, 8, linkCSVStream(streamSpace().Slice(0, 96)),
+			RunOptions{Packets: 30, BaseSeed: 5, Workers: workers, BatchSize: 4}, 5},
+		{"star", len(scenarioConfigs()), 2, scenarioCSVStream(scenario.StarSpec(3), scenarioConfigs()),
+			RunOptions{Packets: 100, BaseSeed: 5, Workers: workers}, 3 * 6 * 5},
+	}
+	for _, e := range engines {
+		var ref bytes.Buffer
+		refOpts := e.opts
+		refOpts.ErrorModel = newMidBlockModel(workers, nil) // never armed
+		if err := e.stream(context.Background(), refOpts, &ref, true, func(int) {}); err != nil {
+			t.Fatalf("%s reference run: %v", e.name, err)
+		}
+		for _, deadline := range []bool{false, true} {
+			name, want := e.name+"/cancel", context.Canceled
+			if deadline {
+				name, want = e.name+"/deadline", context.DeadlineExceeded
+			}
+			t.Run(name, func(t *testing.T) {
+				var ctx context.Context
+				var cancel context.CancelFunc
+				var model *midBlockModel
+				release := make(chan struct{})
+				if deadline {
+					// The deadline only has to outlast the first few
+					// blocks; the parked workers then wait for it.
+					ctx, cancel = context.WithTimeout(context.Background(), 500*time.Millisecond)
+					model = newMidBlockModel(workers, ctx.Done())
+				} else {
+					ctx, cancel = context.WithCancel(context.Background())
+					model = newMidBlockModel(workers, release)
+				}
+				defer cancel()
+				ckPath := filepath.Join(t.TempDir(), "stop.ckpt")
+				opts := e.opts
+				opts.ErrorModel = model
+				opts.Checkpoint = ckPath
+
+				var out bytes.Buffer
+				yielded := 0
+				done := make(chan error, 1)
+				go func() {
+					done <- e.stream(ctx, opts, &out, true, func(rows int) {
+						yielded = rows
+						if rows == e.armAt {
+							model.armed.Store(true)
+						}
+					})
+				}()
+				var err error
+				select {
+				case <-model.allParked:
+					if !deadline {
+						// cancel returns once every child context is
+						// canceled, so the woken workers' next
+						// per-packet check fails.
+						cancel()
+						close(release)
+					}
+					err = <-done
+				case err = <-done:
+					t.Fatalf("run ended before both workers parked mid-block: %v", err)
+				}
+				if model.late {
+					t.Fatal("the deadline fired before both workers were parked mid-block")
+				}
+				if !errors.Is(err, want) {
+					t.Fatalf("err = %v, want wrapped %v", err, want)
+				}
+				if deadline && errors.Is(err, context.Canceled) {
+					t.Fatalf("deadline stop reported as a cancel: %v", err)
+				}
+				if !deadline && model.after > workers*e.drain {
+					t.Fatalf("canceled workers made %d more transmissions, want <= %d",
+						model.after, workers*e.drain)
+				}
+				ck, err := LoadCheckpoint(ckPath)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if ck.Done != yielded || yielded < e.armAt || yielded >= e.n {
+					t.Fatalf("sidecar Done = %d, yielded %d rows (armed at %d) of %d",
+						ck.Done, yielded, e.armAt, e.n)
+				}
+
+				resumed := e.opts
+				resumed.ErrorModel = newMidBlockModel(workers, nil)
+				resumed.Checkpoint = ckPath
+				resumed.Resume = true
+				if err := e.stream(context.Background(), resumed, &out, false, func(int) {}); err != nil {
+					t.Fatalf("resume: %v", err)
+				}
+				if !bytes.Equal(ref.Bytes(), out.Bytes()) {
+					t.Fatal("interrupted+resumed CSV differs from the uninterrupted run")
+				}
+			})
+		}
 	}
 }
