@@ -202,7 +202,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 			p := aParams
 			spec.Adaptive = &p
 		}
-		return runRemote(ctx, *remote, spec, scn.Kind, *out, *progress, stdout, stderr)
+		return runRemote(ctx, *remote, spec, newCampaignCodec(scn), *out, *progress, stdout, stderr)
 	}
 
 	if *resume {
@@ -301,9 +301,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	// Open the output and position the codec. On resume, only the
 	// checkpointed prefix of the existing CSV is trusted: the file is
 	// rewritten to exactly that prefix (a crash can leave a torn extra
-	// row), then streaming appends continue after it. The codec picks the
-	// dataset schema — legacy 30-column link CSV, byte-for-byte unchanged,
-	// or the wider scenario schema for the other kinds.
+	// row), then streaming appends continue after it.
 	codec := newCampaignCodec(scn)
 	done := 0
 	if *out == "-" {
@@ -379,17 +377,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		// link codec only formats rows. The prefix read on -resume replays
 		// through the explorer, which verifies every row against the
 		// trajectory it re-derives.
-		lc := codec.(*linkCodec)
+		lc := codec.(*csvCodec[sweep.Row])
 		aopts.ResumeRows = lc.prefix
-		ares, err = adaptive.Stream(ctx, space, aopts, func(r sweep.Row) error {
-			if err := lc.enc.Encode(r); err != nil {
-				return err
-			}
-			if err := lc.enc.Flush(); err != nil {
-				return err
-			}
-			return rowGate.Pass(ctx, lc.enc.Rows()-1)
-		})
+		ares, err = adaptive.Stream(ctx, space, aopts, lc.write(ctx))
 	} else {
 		err = codec.Stream(ctx, cfgs, opts)
 	}
@@ -473,9 +463,8 @@ func adaptiveManifestBlock(p adaptive.Params, res *adaptive.Result) json.RawMess
 // into the local output, reconnecting with index-based resume if the
 // connection drops. The daemon deduplicates by campaign fingerprint, so an
 // identical earlier campaign is served straight from its result cache.
-// Link campaigns land in the legacy CSV schema; other scenario kinds land
-// in the scenario schema, matching a local run of the same spec.
-func runRemote(ctx context.Context, baseURL string, spec serve.CampaignSpec, kind scenario.Kind, out string, progress bool, stdout, stderr io.Writer) error {
+// The rows land in codec's schema, matching a local run of the same spec.
+func runRemote(ctx context.Context, baseURL string, spec serve.CampaignSpec, codec campaignCodec, out string, progress bool, stdout, stderr io.Writer) error {
 	var w io.Writer = stdout
 	closeOut := func() error { return nil }
 	if out != "-" {
@@ -486,24 +475,8 @@ func runRemote(ctx context.Context, baseURL string, spec serve.CampaignSpec, kin
 		closeOut = f.Close
 		w = f
 	}
-	var (
-		writeHeader func() error
-		encodeRow   func(serve.StreamedRow) error
-		flush       func() error
-		rows        func() int
-	)
-	if kind == scenario.KindLink {
-		enc := sweep.NewEncoder(w)
-		writeHeader = enc.WriteHeader
-		encodeRow = func(r serve.StreamedRow) error { return enc.Encode(r.Row) }
-		flush, rows = enc.Flush, enc.Rows
-	} else {
-		enc := sweep.NewScenarioEncoder(w)
-		writeHeader = enc.WriteHeader
-		encodeRow = func(r serve.StreamedRow) error { return enc.Encode(r.ScenarioRow()) }
-		flush, rows = enc.Flush, enc.Rows
-	}
-	if err := writeHeader(); err != nil {
+	codec.Bind(w)
+	if err := codec.WriteHeader(); err != nil {
 		closeOut() //nolint:errcheck // the write error wins
 		return err
 	}
@@ -511,7 +484,7 @@ func runRemote(ctx context.Context, baseURL string, spec serve.CampaignSpec, kin
 	total := spec.Space.Space().Size()
 	fmt.Fprintf(stderr, "submitting %d configurations x %d packets to %s\n", total, spec.Packets, baseURL)
 	st, err := serve.NewClient(baseURL).Run(ctx, spec, func(r serve.StreamedRow) error {
-		if err := encodeRow(r); err != nil {
+		if err := codec.EncodeStreamed(r); err != nil {
 			return err
 		}
 		if progress && (r.Index+1)%100 == 0 {
@@ -522,7 +495,7 @@ func runRemote(ctx context.Context, baseURL string, spec serve.CampaignSpec, kin
 	if progress {
 		fmt.Fprintln(stderr)
 	}
-	if ferr := flush(); err == nil {
+	if ferr := codec.Flush(); err == nil {
 		err = ferr
 	}
 	if cerr := closeOut(); err == nil {
@@ -534,7 +507,7 @@ func runRemote(ctx context.Context, baseURL string, spec serve.CampaignSpec, kin
 	if st.CacheHit {
 		fmt.Fprintf(stderr, "served from the daemon's result cache (campaign %s)\n", st.Fingerprint)
 	}
-	fmt.Fprintf(stderr, "wrote %d rows to %s (job %s, fingerprint %s)\n", rows(), out, st.ID, st.Fingerprint)
+	fmt.Fprintf(stderr, "wrote %d rows to %s (job %s, fingerprint %s)\n", codec.Rows(), out, st.ID, st.Fingerprint)
 	return nil
 }
 
@@ -606,84 +579,69 @@ func scenarioParams(scn scenario.Spec) json.RawMessage {
 // sweep.RowGate).
 var rowGate *sweep.RowGate
 
-// campaignCodec abstracts the dataset schema over the two row shapes so
-// run() streams, resumes and counts rows without caring which simulator
-// family produced them. ReadPrefix must be called before the output file
-// is truncated; Bind attaches the destination writer.
+// campaignCodec is the dataset schema of a campaign, whichever row shape
+// its simulator family produces, so run() and runRemote stream, resume and
+// count rows without caring which one it is. ReadPrefix must be called
+// before the output file is truncated; Bind attaches the destination
+// writer.
 type campaignCodec interface {
 	Bind(w io.Writer)
 	WriteHeader() error
 	ReadPrefix(path string, done int) error
 	WritePrefix() error
 	Stream(ctx context.Context, cfgs []stack.Config, opts sweep.RunOptions) error
+	EncodeStreamed(r serve.StreamedRow) error
+	Flush() error
 	Rows() int
 }
 
 // newCampaignCodec picks the schema for the campaign: the link kind keeps
-// the legacy CSV (and the legacy checkpoint fingerprint inside
-// StreamConfigs); every other kind streams the scenario schema.
+// the legacy 30-column CSV, byte-for-byte unchanged (and the legacy
+// checkpoint fingerprint inside StreamConfigs); every other kind streams
+// the scenario schema (scenario column, link columns, network columns).
 func newCampaignCodec(scn scenario.Spec) campaignCodec {
 	if scn.Kind == scenario.KindLink {
-		return &linkCodec{}
-	}
-	return &scenarioCodec{spec: scn}
-}
-
-// linkCodec streams the legacy 30-column link dataset.
-type linkCodec struct {
-	enc    *sweep.Encoder
-	prefix []sweep.Row
-}
-
-func (c *linkCodec) Bind(w io.Writer)   { c.enc = sweep.NewEncoder(w) }
-func (c *linkCodec) WriteHeader() error { return c.enc.WriteHeader() }
-func (c *linkCodec) Rows() int          { return c.enc.Rows() }
-
-func (c *linkCodec) ReadPrefix(path string, done int) error {
-	rows, err := readPrefix(path, done)
-	if err != nil {
-		return err
-	}
-	c.prefix = rows
-	return nil
-}
-
-func (c *linkCodec) WritePrefix() error {
-	for _, r := range c.prefix {
-		if err := c.enc.Encode(r); err != nil {
-			return err
+		return &csvCodec[sweep.Row]{
+			newEncoder: func(w io.Writer) rowEncoder[sweep.Row] { return sweep.NewEncoder(w) },
+			readHead:   sweep.ReadCSVHead,
+			stream:     sweep.StreamConfigs,
+			streamed:   func(r serve.StreamedRow) sweep.Row { return r.Row },
 		}
 	}
-	return c.enc.Flush()
+	return &csvCodec[scenario.Row]{
+		newEncoder: func(w io.Writer) rowEncoder[scenario.Row] { return sweep.NewScenarioEncoder(w) },
+		readHead:   sweep.ReadScenarioCSVHead,
+		stream: func(ctx context.Context, cfgs []stack.Config, opts sweep.RunOptions, yield func(scenario.Row) error) error {
+			return sweep.StreamScenarios(ctx, scn, cfgs, opts, yield)
+		},
+		streamed: serve.StreamedRow.ScenarioRow,
+	}
 }
 
-func (c *linkCodec) Stream(ctx context.Context, cfgs []stack.Config, opts sweep.RunOptions) error {
-	return sweep.StreamConfigs(ctx, cfgs, opts, func(r sweep.Row) error {
-		if err := c.enc.Encode(r); err != nil {
-			return err
-		}
-		// Flush before the engine checkpoints the row, so the CSV is
-		// always at least as long as the checkpoint says.
-		if err := c.enc.Flush(); err != nil {
-			return err
-		}
-		return rowGate.Pass(ctx, c.enc.Rows()-1)
-	})
+// rowEncoder is the sweep CSV encoder of one row type (sweep.Encoder or
+// sweep.ScenarioEncoder).
+type rowEncoder[R any] interface {
+	WriteHeader() error
+	Encode(R) error
+	Flush() error
+	Rows() int
 }
 
-// scenarioCodec streams the scenario dataset schema (scenario column, link
-// columns, network columns) with the same resume contract as linkCodec.
-type scenarioCodec struct {
-	spec   scenario.Spec
-	enc    *sweep.ScenarioEncoder
-	prefix []scenario.Row
+// csvCodec implements campaignCodec over the sweep CSV codec of row type R.
+type csvCodec[R any] struct {
+	rowEncoder[R] // set by Bind
+	newEncoder    func(io.Writer) rowEncoder[R]
+	readHead      func(io.Reader, int) ([]R, error)
+	stream        func(context.Context, []stack.Config, sweep.RunOptions, func(R) error) error
+	streamed      func(serve.StreamedRow) R // a daemon row in this schema
+	prefix        []R
 }
 
-func (c *scenarioCodec) Bind(w io.Writer)   { c.enc = sweep.NewScenarioEncoder(w) }
-func (c *scenarioCodec) WriteHeader() error { return c.enc.WriteHeader() }
-func (c *scenarioCodec) Rows() int          { return c.enc.Rows() }
+func (c *csvCodec[R]) Bind(w io.Writer) { c.rowEncoder = c.newEncoder(w) }
 
-func (c *scenarioCodec) ReadPrefix(path string, done int) error {
+// ReadPrefix keeps the first done rows of an existing dataset; a missing
+// file is fine when nothing was checkpointed yet.
+func (c *csvCodec[R]) ReadPrefix(path string, done int) error {
 	f, err := os.Open(path)
 	if errors.Is(err, os.ErrNotExist) && done == 0 {
 		return nil
@@ -692,7 +650,7 @@ func (c *scenarioCodec) ReadPrefix(path string, done int) error {
 		return err
 	}
 	defer f.Close()
-	rows, err := sweep.ReadScenarioCSVHead(f, done)
+	rows, err := c.readHead(f, done)
 	if err != nil {
 		return fmt.Errorf("existing dataset %s: %w", path, err)
 	}
@@ -704,27 +662,35 @@ func (c *scenarioCodec) ReadPrefix(path string, done int) error {
 	return nil
 }
 
-func (c *scenarioCodec) WritePrefix() error {
+func (c *csvCodec[R]) WritePrefix() error {
 	for _, r := range c.prefix {
-		if err := c.enc.Encode(r); err != nil {
+		if err := c.Encode(r); err != nil {
 			return err
 		}
 	}
-	return c.enc.Flush()
+	return c.Flush()
 }
 
-func (c *scenarioCodec) Stream(ctx context.Context, cfgs []stack.Config, opts sweep.RunOptions) error {
-	return sweep.StreamScenarios(ctx, c.spec, cfgs, opts, func(r scenario.Row) error {
-		if err := c.enc.Encode(r); err != nil {
-			return err
-		}
-		// Same flush-before-checkpoint ordering as the link path.
-		if err := c.enc.Flush(); err != nil {
-			return err
-		}
-		return rowGate.Pass(ctx, c.enc.Rows()-1)
-	})
+func (c *csvCodec[R]) Stream(ctx context.Context, cfgs []stack.Config, opts sweep.RunOptions) error {
+	return c.stream(ctx, cfgs, opts, c.write(ctx))
 }
+
+// write is the engine's yield: encode the row and flush it before the
+// engine checkpoints it, so the CSV is always at least as long as the
+// checkpoint says.
+func (c *csvCodec[R]) write(ctx context.Context) func(R) error {
+	return func(r R) error {
+		if err := c.Encode(r); err != nil {
+			return err
+		}
+		if err := c.Flush(); err != nil {
+			return err
+		}
+		return rowGate.Pass(ctx, c.Rows()-1)
+	}
+}
+
+func (c *csvCodec[R]) EncodeStreamed(r serve.StreamedRow) error { return c.Encode(c.streamed(r)) }
 
 // buildManifest assembles the run's reproducibility record. The volatile
 // fields (wall time, rates inside the metric snapshot) differ between
@@ -866,26 +832,4 @@ func parseInts(csv string) ([]int, error) {
 		out = append(out, v)
 	}
 	return out, nil
-}
-
-// readPrefix returns the first done rows of an existing dataset; a missing
-// file is fine when nothing was checkpointed yet.
-func readPrefix(path string, done int) ([]sweep.Row, error) {
-	f, err := os.Open(path)
-	if errors.Is(err, os.ErrNotExist) && done == 0 {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	rows, err := sweep.ReadCSVHead(f, done)
-	if err != nil {
-		return nil, fmt.Errorf("existing dataset %s: %w", path, err)
-	}
-	if len(rows) < done {
-		return nil, fmt.Errorf("dataset %s has %d rows but checkpoint records %d; "+
-			"delete both to restart", path, len(rows), done)
-	}
-	return rows, nil
 }

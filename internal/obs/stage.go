@@ -23,7 +23,7 @@ const (
 	// StageReorder is time the emitter spends draining the reorder
 	// buffer after each completion arrives.
 	StageReorder
-	// StageYield is time spent inside the caller's yield and OnRow hooks.
+	// StageYield is time spent inside the caller's yield hook.
 	StageYield
 	// StageCheckpoint is time spent appending to the checkpoint sidecar.
 	StageCheckpoint

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"hash"
 	"hash/fnv"
 	"math"
 	"os"
@@ -112,36 +113,55 @@ func CampaignFingerprint(cfgs []stack.Config, opts RunOptions) uint64 {
 // the option knobs that change row content. (Channel and ErrorModel
 // overrides are not part of the hash; keep them stable across resumes.)
 func campaignFingerprint(cfgs []stack.Config, opts RunOptions) uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	wu := func(v uint64) {
-		binary.LittleEndian.PutUint64(buf[:], v)
-		h.Write(buf[:])
-	}
-	wf := func(v float64) { wu(math.Float64bits(v)) }
-	wu(uint64(len(cfgs)))
+	h := newFingerprintHash()
+	h.campaign(cfgs, opts)
+	return h.Sum64()
+}
+
+// fingerprintHash is the FNV-64a hash both fingerprint namespaces use,
+// fed one little-endian 64-bit word at a time.
+type fingerprintHash struct {
+	hash.Hash64
+	buf [8]byte
+}
+
+func newFingerprintHash() *fingerprintHash {
+	return &fingerprintHash{Hash64: fnv.New64a()}
+}
+
+func (h *fingerprintHash) word(v uint64) {
+	binary.LittleEndian.PutUint64(h.buf[:], v)
+	h.Write(h.buf[:])
+}
+
+// campaign writes the words of the campaign identity both namespaces
+// share: the configurations, then the option knobs that change row
+// content.
+func (h *fingerprintHash) campaign(cfgs []stack.Config, opts RunOptions) {
+	wf := func(v float64) { h.word(math.Float64bits(v)) }
+	h.word(uint64(len(cfgs)))
 	for _, c := range cfgs {
 		wf(c.DistanceM)
-		wu(uint64(c.TxPower))
-		wu(uint64(c.MaxTries))
+		h.word(uint64(c.TxPower))
+		h.word(uint64(c.MaxTries))
 		wf(c.RetryDelay)
-		wu(uint64(c.QueueCap))
+		h.word(uint64(c.QueueCap))
 		wf(c.PktInterval)
-		wu(uint64(c.PayloadBytes))
+		h.word(uint64(c.PayloadBytes))
 	}
-	wu(uint64(opts.Packets))
-	wu(opts.BaseSeed)
+	h.word(uint64(opts.Packets))
+	h.word(opts.BaseSeed)
 	// The engine hashes to the byte the old Fast flag wrote (fast=1, DES=0)
 	// so fingerprints of existing checkpoints remain valid; the CRN word is
 	// appended only when pairing is on, for the same reason. BatchSize and
 	// Workers are deliberately absent — they never change row content.
 	if opts.Engine == sim.EngineDES {
-		wu(0)
+		h.word(0)
 	} else {
-		wu(1)
+		h.word(1)
 	}
 	if opts.CRN {
-		wu(0x43524e) // "CRN"
+		h.word(0x43524e) // "CRN"
 	}
 	// A shard offset changes row content (seeds derive from the global
 	// index), so it is identity — but the word is appended only when the
@@ -149,10 +169,9 @@ func campaignFingerprint(cfgs []stack.Config, opts RunOptions) uint64 {
 	// shard that happens to cover the whole space at offset 0 shares the
 	// unsharded campaign's cache entry.
 	if opts.IndexOffset > 0 {
-		wu(0x5348415244) // "SHARD"
-		wu(uint64(opts.IndexOffset))
+		h.word(0x5348415244) // "SHARD"
+		h.word(uint64(opts.IndexOffset))
 	}
-	return h.Sum64()
 }
 
 // checkpointFile appends processed indices as the stream emits them.

@@ -136,10 +136,9 @@ func TestCampaignFingerprintSensitivity(t *testing.T) {
 	if campaignFingerprint(cfgs[:len(cfgs)-1], base) == fp {
 		t.Error("fingerprint ignores the configuration list")
 	}
-	// Worker count and progress plumbing must NOT change identity.
+	// Worker count must NOT change identity.
 	cosmetic := base
 	cosmetic.Workers = 13
-	cosmetic.OnRow = func(Row) {}
 	if campaignFingerprint(cfgs, cosmetic) != fp {
 		t.Error("fingerprint depends on non-identity knobs")
 	}

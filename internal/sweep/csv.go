@@ -9,6 +9,7 @@ import (
 
 	"wsnlink/internal/metrics"
 	"wsnlink/internal/phy"
+	"wsnlink/internal/scenario"
 	"wsnlink/internal/stack"
 )
 
@@ -109,52 +110,85 @@ func rowRecord(r Row) []string {
 	return rec
 }
 
-// Encoder streams dataset rows to CSV one at a time — the writing half of
-// the streaming sweep pipeline. Call WriteHeader for a fresh dataset (skip
-// it when appending to an existing file on resume), Encode per row, and
-// Flush whenever the rows written so far must be durable (the streaming
-// engine checkpoints a row only after its yield returned, so flushing in
-// yield keeps the CSV ahead of the checkpoint).
-type Encoder struct {
-	cw   *csv.Writer
-	rows int
+// csvSchema is one dataset schema: its header, the canonical record of a
+// row and the parser of a record. The link and scenario datasets differ
+// only in these, so one encoder and one reader serve both.
+type csvSchema[R any] struct {
+	label  string // prefix naming the schema in errors: "" or "scenario "
+	header []string
+	record func(R) []string
+	parse  func([]string) (R, error)
 }
 
-// NewEncoder wraps w for streaming row encoding.
-func NewEncoder(w io.Writer) *Encoder {
-	return &Encoder{cw: csv.NewWriter(w)}
+var (
+	linkCSV     = &csvSchema[Row]{header: csvHeader, record: Row.Fields, parse: RowFromFields}
+	scenarioCSV = &csvSchema[scenario.Row]{label: "scenario ", header: scenarioCSVHeader,
+		record: ScenarioRowFields, parse: ScenarioRowFromFields}
+)
+
+// csvEncoder streams dataset rows to CSV one at a time — the writing half
+// of the streaming sweep pipeline. Call WriteHeader for a fresh dataset
+// (skip it when appending to an existing file on resume), Encode per row,
+// and Flush whenever the rows written so far must be durable (the
+// streaming engine checkpoints a row only after its yield returned, so
+// flushing in yield keeps the CSV ahead of the checkpoint).
+type csvEncoder[R any] struct {
+	schema *csvSchema[R]
+	cw     *csv.Writer
+	rows   int
+}
+
+// Encoder streams link dataset rows to CSV.
+type Encoder = csvEncoder[Row]
+
+// ScenarioEncoder streams scenario dataset rows to CSV.
+type ScenarioEncoder = csvEncoder[scenario.Row]
+
+// NewEncoder wraps w for streaming link row encoding.
+func NewEncoder(w io.Writer) *Encoder { return linkCSV.newEncoder(w) }
+
+// NewScenarioEncoder wraps w for streaming scenario row encoding.
+func NewScenarioEncoder(w io.Writer) *ScenarioEncoder { return scenarioCSV.newEncoder(w) }
+
+func (s *csvSchema[R]) newEncoder(w io.Writer) *csvEncoder[R] {
+	return &csvEncoder[R]{schema: s, cw: csv.NewWriter(w)}
 }
 
 // WriteHeader emits the dataset schema row.
-func (e *Encoder) WriteHeader() error {
-	if err := e.cw.Write(csvHeader); err != nil {
-		return fmt.Errorf("sweep: write header: %w", err)
+func (e *csvEncoder[R]) WriteHeader() error {
+	if err := e.cw.Write(e.schema.header); err != nil {
+		return fmt.Errorf("sweep: write %sheader: %w", e.schema.label, err)
 	}
 	return nil
 }
 
 // Encode appends one row.
-func (e *Encoder) Encode(r Row) error {
-	if err := e.cw.Write(rowRecord(r)); err != nil {
-		return fmt.Errorf("sweep: write row %d: %w", e.rows, err)
+func (e *csvEncoder[R]) Encode(r R) error {
+	if err := e.cw.Write(e.schema.record(r)); err != nil {
+		return fmt.Errorf("sweep: write %srow %d: %w", e.schema.label, e.rows, err)
 	}
 	e.rows++
 	return nil
 }
 
 // Rows returns the number of rows encoded so far.
-func (e *Encoder) Rows() int { return e.rows }
+func (e *csvEncoder[R]) Rows() int { return e.rows }
 
 // Flush forces buffered rows to the underlying writer.
-func (e *Encoder) Flush() error {
+func (e *csvEncoder[R]) Flush() error {
 	e.cw.Flush()
 	return e.cw.Error()
 }
 
 // WriteCSV writes the dataset with a header row — the batch convenience
 // over Encoder.
-func WriteCSV(w io.Writer, rows []Row) error {
-	e := NewEncoder(w)
+func WriteCSV(w io.Writer, rows []Row) error { return linkCSV.write(w, rows) }
+
+// WriteScenarioCSV writes a scenario dataset with a header row.
+func WriteScenarioCSV(w io.Writer, rows []scenario.Row) error { return scenarioCSV.write(w, rows) }
+
+func (s *csvSchema[R]) write(w io.Writer, rows []R) error {
+	e := s.newEncoder(w)
 	if err := e.WriteHeader(); err != nil {
 		return err
 	}
@@ -167,34 +201,45 @@ func WriteCSV(w io.Writer, rows []Row) error {
 }
 
 // ReadCSV parses a dataset written by WriteCSV.
-func ReadCSV(r io.Reader) ([]Row, error) {
-	return readCSV(r, -1)
-}
+func ReadCSV(r io.Reader) ([]Row, error) { return linkCSV.read(r, -1) }
+
+// ReadScenarioCSV parses a scenario dataset written by WriteScenarioCSV.
+func ReadScenarioCSV(r io.Reader) ([]scenario.Row, error) { return scenarioCSV.read(r, -1) }
 
 // ReadCSVHead parses at most n rows and ignores anything after them —
 // including torn trailing data. It is used to realign a dataset with its
 // checkpoint after an interrupted run, where only the checkpointed prefix
 // is trusted.
-func ReadCSVHead(r io.Reader, n int) ([]Row, error) {
-	if n < 0 {
-		return nil, fmt.Errorf("sweep: ReadCSVHead: negative row count %d", n)
-	}
-	return readCSV(r, n)
+func ReadCSVHead(r io.Reader, n int) ([]Row, error) { return linkCSV.readHead(r, n) }
+
+// ReadScenarioCSVHead parses at most n scenario rows and ignores anything
+// after them — including torn trailing data, for checkpoint realignment.
+func ReadScenarioCSVHead(r io.Reader, n int) ([]scenario.Row, error) {
+	return scenarioCSV.readHead(r, n)
 }
 
-func readCSV(r io.Reader, limit int) ([]Row, error) {
+func (s *csvSchema[R]) readHead(r io.Reader, n int) ([]R, error) {
+	if n < 0 {
+		return nil, fmt.Errorf("sweep: read %sCSV head: negative row count %d", s.label, n)
+	}
+	return s.read(r, n)
+}
+
+// read parses the header and then at most limit rows (all rows when limit
+// is negative).
+func (s *csvSchema[R]) read(r io.Reader, limit int) ([]R, error) {
 	cr := csv.NewReader(r)
-	cr.FieldsPerRecord = len(csvHeader)
+	cr.FieldsPerRecord = len(s.header)
 	header, err := cr.Read()
 	if err != nil {
-		return nil, fmt.Errorf("sweep: read header: %w", err)
+		return nil, fmt.Errorf("sweep: read %sheader: %w", s.label, err)
 	}
 	for i, h := range header {
-		if h != csvHeader[i] {
-			return nil, fmt.Errorf("sweep: header column %d is %q, want %q", i, h, csvHeader[i])
+		if h != s.header[i] {
+			return nil, fmt.Errorf("sweep: %sheader column %d is %q, want %q", s.label, i, h, s.header[i])
 		}
 	}
-	var rows []Row
+	var rows []R
 	for line := 2; ; line++ {
 		if limit >= 0 && len(rows) == limit {
 			break
@@ -206,7 +251,7 @@ func readCSV(r io.Reader, limit int) ([]Row, error) {
 		if err != nil {
 			return nil, fmt.Errorf("sweep: line %d: %w", line, err)
 		}
-		row, err := parseRow(rec)
+		row, err := s.parse(rec)
 		if err != nil {
 			return nil, fmt.Errorf("sweep: line %d: %w", line, err)
 		}

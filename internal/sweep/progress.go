@@ -3,7 +3,7 @@ package sweep
 import "sync/atomic"
 
 // Progress is a lock-free campaign progress counter the engine keeps up to
-// date when RunOptions.Progress points at it. Unlike the OnRow callback it
+// date when RunOptions.Progress points at it. Unlike the yield callback it
 // never serializes the worker pool and can be polled from any goroutine —
 // a CLI ticker, an expvar func, or the obs layer — at any rate.
 //

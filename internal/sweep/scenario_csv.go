@@ -1,9 +1,7 @@
 package sweep
 
 import (
-	"encoding/csv"
 	"fmt"
-	"io"
 
 	"wsnlink/internal/scenario"
 )
@@ -108,105 +106,4 @@ func ScenarioRowFromFields(rec []string) (scenario.Row, error) {
 		Report:   base.Report,
 		Net:      net,
 	}, nil
-}
-
-// ScenarioEncoder streams scenario dataset rows to CSV one at a time — the
-// scenario counterpart of Encoder, with the same durability contract
-// (flush in yield to keep the CSV ahead of the checkpoint).
-type ScenarioEncoder struct {
-	cw   *csv.Writer
-	rows int
-}
-
-// NewScenarioEncoder wraps w for streaming scenario row encoding.
-func NewScenarioEncoder(w io.Writer) *ScenarioEncoder {
-	return &ScenarioEncoder{cw: csv.NewWriter(w)}
-}
-
-// WriteHeader emits the scenario dataset schema row.
-func (e *ScenarioEncoder) WriteHeader() error {
-	if err := e.cw.Write(scenarioCSVHeader); err != nil {
-		return fmt.Errorf("sweep: write scenario header: %w", err)
-	}
-	return nil
-}
-
-// Encode appends one scenario row.
-func (e *ScenarioEncoder) Encode(r scenario.Row) error {
-	if err := e.cw.Write(ScenarioRowFields(r)); err != nil {
-		return fmt.Errorf("sweep: write scenario row %d: %w", e.rows, err)
-	}
-	e.rows++
-	return nil
-}
-
-// Rows returns the number of rows encoded so far.
-func (e *ScenarioEncoder) Rows() int { return e.rows }
-
-// Flush forces buffered rows to the underlying writer.
-func (e *ScenarioEncoder) Flush() error {
-	e.cw.Flush()
-	return e.cw.Error()
-}
-
-// WriteScenarioCSV writes a scenario dataset with a header row.
-func WriteScenarioCSV(w io.Writer, rows []scenario.Row) error {
-	e := NewScenarioEncoder(w)
-	if err := e.WriteHeader(); err != nil {
-		return err
-	}
-	for _, r := range rows {
-		if err := e.Encode(r); err != nil {
-			return err
-		}
-	}
-	return e.Flush()
-}
-
-// ReadScenarioCSV parses a scenario dataset written by WriteScenarioCSV.
-func ReadScenarioCSV(r io.Reader) ([]scenario.Row, error) {
-	return readScenarioCSV(r, -1)
-}
-
-// ReadScenarioCSVHead parses at most n scenario rows and ignores anything
-// after them — including torn trailing data, for checkpoint realignment.
-func ReadScenarioCSVHead(r io.Reader, n int) ([]scenario.Row, error) {
-	if n < 0 {
-		return nil, fmt.Errorf("sweep: ReadScenarioCSVHead: negative row count %d", n)
-	}
-	return readScenarioCSV(r, n)
-}
-
-func readScenarioCSV(r io.Reader, limit int) ([]scenario.Row, error) {
-	cr := csv.NewReader(r)
-	cr.FieldsPerRecord = len(scenarioCSVHeader)
-	header, err := cr.Read()
-	if err != nil {
-		return nil, fmt.Errorf("sweep: read scenario header: %w", err)
-	}
-	for i, h := range header {
-		if h != scenarioCSVHeader[i] {
-			return nil, fmt.Errorf("sweep: scenario header column %d is %q, want %q",
-				i, h, scenarioCSVHeader[i])
-		}
-	}
-	var rows []scenario.Row
-	for line := 2; ; line++ {
-		if limit >= 0 && len(rows) == limit {
-			break
-		}
-		rec, err := cr.Read()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, fmt.Errorf("sweep: line %d: %w", line, err)
-		}
-		row, err := ScenarioRowFromFields(rec)
-		if err != nil {
-			return nil, fmt.Errorf("sweep: line %d: %w", line, err)
-		}
-		rows = append(rows, row)
-	}
-	return rows, nil
 }

@@ -5,12 +5,16 @@
 // paper published — and converted into calibration observations for the
 // model-fitting pipeline.
 //
-// The core is the streaming engine (StreamSpace / StreamConfigs): a worker
-// pool that emits completed rows in input order through a yield callback,
-// holds only O(workers) rows live, honors context cancellation, and can
-// checkpoint progress to a sidecar file so an interrupted campaign resumes
-// exactly where it stopped. The batch helpers (RunSpace / RunConfigs) are
-// thin wrappers that collect the stream into a slice.
+// The core is one streaming engine: a worker pool that emits completed
+// rows in input order through a yield callback, holds only O(workers) rows
+// live, honors context cancellation, and can checkpoint progress to a
+// sidecar file so an interrupted campaign resumes exactly where it
+// stopped. Link campaigns (StreamSpace / StreamConfigs) run on it in
+// blocks of BatchSize configurations through the batch kernel; scenario
+// campaigns (StreamScenarios) run on it in blocks of one. One CSV codec
+// writes and reads both row schemas. The batch helpers (RunSpace /
+// RunConfigs / RunScenarios) are thin wrappers that collect the stream
+// into a slice.
 package sweep
 
 import (
@@ -137,10 +141,6 @@ type RunOptions struct {
 	// campaign-scale sweeps without truncating individual packet spans
 	// the way the Tracer's ring eviction would.
 	TraceSample int
-	// OnRow, if non-nil, is called for every emitted row, in input order,
-	// from the goroutine running the stream (after yield). Use it for
-	// lightweight observation; heavy work here backpressures the sweep.
-	OnRow func(Row)
 	// Commit, if non-nil, closes each group of yielded rows. The emitter
 	// calls it once per emitted run — the rows one arrival made
 	// contiguous — after yield has taken the run's last row and before
@@ -264,8 +264,8 @@ func RunConfigs(ctx context.Context, cfgs []stack.Config, opts RunOptions) ([]Ro
 }
 
 // collectInto is the shared batch-mode yield: append every row to *dst.
-func collectInto(dst *[]Row) func(Row) error {
-	return func(r Row) error {
+func collectInto[R any](dst *[]R) func(R) error {
+	return func(r R) error {
 		*dst = append(*dst, r)
 		return nil
 	}
