@@ -25,6 +25,7 @@ import (
 	"wsnlink/internal/models"
 	"wsnlink/internal/netsim"
 	"wsnlink/internal/optimize"
+	"wsnlink/internal/scenario"
 	"wsnlink/internal/sim"
 	"wsnlink/internal/stack"
 	"wsnlink/internal/sweep"
@@ -119,7 +120,7 @@ func BenchmarkRunFast(b *testing.B) {
 	cfg := benchConfig()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := wsnlink.SimulateFast(cfg, wsnlink.SimOptions{
+		if _, err := wsnlink.Simulate(context.Background(), cfg, wsnlink.SimOptions{
 			Packets: 1000, Seed: uint64(i),
 		}); err != nil {
 			b.Fatal(err)
@@ -257,6 +258,52 @@ func BenchmarkStreamConfigsWorkers(b *testing.B) {
 			b.ReportMetric(float64(rows)/b.Elapsed().Seconds(), "rows/s")
 		})
 	}
+}
+
+// BenchmarkSmallCampaign measures the engine's fixed cost per job on
+// campaignbench's small-mixed job shape: 4 configurations at 120 packets
+// on 2 workers, as a link campaign and as a 3-node star campaign. At this
+// size set-up, not simulation, dominates, so B/op and allocs/op are the
+// numbers to watch.
+func BenchmarkSmallCampaign(b *testing.B) {
+	cfgs := stack.Space{
+		DistancesM:    []float64{35},
+		TxPowers:      []wsnlink.PowerLevel{31},
+		MaxTries:      []int{1, 3},
+		RetryDelays:   []float64{0.03},
+		QueueCaps:     []int{1},
+		PktIntervals:  []float64{0.05},
+		PayloadsBytes: []int{20, 110},
+	}.All()
+	ctx := context.Background()
+	opts := func(i int) sweep.RunOptions {
+		return sweep.RunOptions{Packets: 120, BaseSeed: uint64(i), Workers: 2}
+	}
+	b.Run("link", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			rows := 0
+			if err := sweep.StreamConfigs(ctx, cfgs, opts(i), func(sweep.Row) error { rows++; return nil }); err != nil {
+				b.Fatal(err)
+			}
+			if rows != len(cfgs) {
+				b.Fatalf("rows = %d", rows)
+			}
+		}
+	})
+	b.Run("star", func(b *testing.B) {
+		star := scenario.StarSpec(3)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			rows := 0
+			if err := sweep.StreamScenarios(ctx, star, cfgs, opts(i), func(scenario.Row) error { rows++; return nil }); err != nil {
+				b.Fatal(err)
+			}
+			if rows != len(cfgs) {
+				b.Fatalf("rows = %d", rows)
+			}
+		}
+	})
 }
 
 // BenchmarkModelEval measures one full four-metric model evaluation.

@@ -114,28 +114,6 @@ func NewSimBatchArena() *SimBatchArena { return sim.NewBatchArena() }
 // with) a sweep's rows exactly.
 func DeriveSeed(base uint64, idx int) uint64 { return sim.DeriveSeed(base, idx) }
 
-// SimulateContext runs one configuration on the event-driven simulator.
-//
-// Deprecated: call Simulate with opts.Engine = EngineDES.
-func SimulateContext(ctx context.Context, cfg Config, opts SimOptions) (SimResult, error) {
-	return sim.RunContext(ctx, cfg, opts)
-}
-
-// SimulateFastContext runs one configuration on the Monte-Carlo fast path.
-//
-// Deprecated: call Simulate (EngineFast is the default engine).
-func SimulateFastContext(ctx context.Context, cfg Config, opts SimOptions) (SimResult, error) {
-	return sim.RunFastContext(ctx, cfg, opts)
-}
-
-// SimulateFast runs one configuration on the Monte-Carlo fast path without
-// cancellation.
-//
-// Deprecated: call Simulate with context.Background().
-func SimulateFast(cfg Config, opts SimOptions) (SimResult, error) {
-	return sim.RunFast(cfg, opts)
-}
-
 // Measure derives the metric report from a simulation result.
 func Measure(res SimResult) Report { return metrics.FromResult(res) }
 
@@ -148,7 +126,7 @@ type (
 	SweepRow = sweep.Row
 	// SweepOptions configures a campaign run: identity knobs (Packets,
 	// BaseSeed, Engine, CRN), execution knobs (Workers, BatchSize),
-	// progress plumbing (Progress, OnRow), observability sinks (Metrics,
+	// the progress counter (Progress), observability sinks (Metrics,
 	// Tracer, TraceSample), the per-configuration error policy, and
 	// checkpoint/resume paths. The knobs are validated once on entry;
 	// batch and streaming modes share the same defaulting path.
@@ -189,13 +167,6 @@ func SweepStream(ctx context.Context, space Space, opts SweepOptions, yield func
 // SweepStream for campaign-scale spaces or when cancellation/resume
 // matters.
 func Sweep(ctx context.Context, space Space, opts SweepOptions) ([]SweepRow, error) {
-	return sweep.RunSpace(ctx, space, opts)
-}
-
-// SweepContext collects a campaign into a slice, honoring ctx.
-//
-// Deprecated: call Sweep, which is now context-first.
-func SweepContext(ctx context.Context, space Space, opts SweepOptions) ([]SweepRow, error) {
 	return sweep.RunSpace(ctx, space, opts)
 }
 

@@ -123,7 +123,7 @@ func TestFacadeSimulateFast(t *testing.T) {
 		DistanceM: 20, TxPower: 19, MaxTries: 3, QueueCap: 10,
 		PktInterval: 0.05, PayloadBytes: 80,
 	}
-	res, err := wsnlink.SimulateFast(cfg, wsnlink.SimOptions{Packets: 200, Seed: 4})
+	res, err := wsnlink.Simulate(context.Background(), cfg, wsnlink.SimOptions{Packets: 200, Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -102,7 +102,7 @@ func TestFacadeSweepStreamCancelMidYield(t *testing.T) {
 		PayloadsBytes: []int{20, 110},
 	}
 	opts := wsnlink.SweepOptions{Packets: 60, BaseSeed: 11}
-	all, err := wsnlink.SweepContext(context.Background(), space, opts)
+	all, err := wsnlink.Sweep(context.Background(), space, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
