@@ -30,13 +30,13 @@ race:
 		./internal/adaptive \
 		./cmd/wsnsweep ./cmd/wsnlinkd ./cmd/wsnload
 
-# Fuzz smoke: every Fuzz* target in the service and sweep packages — the
-# spec decoders, the NDJSON row decoder and its fast-path differential
-# check, the spool's row renderer and prefix reader, the CSV reader — for
-# 10 s each (go test -fuzz takes one target per run). Fails when listing a
+# Fuzz smoke: every Fuzz* target in the service, sweep and phy packages —
+# the spec decoders, the NDJSON row decoder and its fast-path differential
+# check, the spool's row renderer and prefix reader, the CSV reader, the
+# loss bracket against the exact Eq 3 decisions — for 10 s each (go test -fuzz takes one target per run). Fails when listing a
 # package fails or a package lists no Fuzz* target, so a broken package
 # cannot turn the smoke into a no-op.
-FUZZ_PKGS = ./internal/serve ./internal/sweep
+FUZZ_PKGS = ./internal/serve ./internal/sweep ./internal/phy
 
 fuzz-smoke:
 	@for pkg in $(FUZZ_PKGS); do \

@@ -209,7 +209,7 @@ func (l *Link) Advance(dt float64) {
 		l.shadowActive = true
 		depth := l.params.HumanShadowMeanDB +
 			l.params.HumanShadowSigmaDB*l.rng.NormFloat64()
-		l.shadowDepthDB = math.Max(0, depth)
+		l.shadowDepthDB = max(0, depth)
 		l.shadowUntil = l.now + l.rng.ExpFloat64()*l.params.HumanShadowDurS
 	}
 }
@@ -248,15 +248,15 @@ func (l *Link) RSSI(txDBm float64) float64 {
 	if l.shadowActive {
 		rssi -= l.shadowDepthDB
 	}
-	return math.Max(rssi, phy.SensitivityDBm-3)
+	return max(rssi, phy.SensitivityDBm-3)
 }
 
 // NoiseFloorDBm draws one noise-floor sample from the mixture distribution.
 func (l *Link) NoiseFloorDBm() float64 {
-	p := l.params
+	p := &l.params
 	if l.rng.Float64() < p.InterferenceProb {
 		bump := p.InterferenceMeanDB + p.InterferenceSigmaDB*l.rng.NormFloat64()
-		return p.NoiseFloorMeanDBm + math.Max(0, bump)
+		return p.NoiseFloorMeanDBm + max(0, bump)
 	}
 	return p.NoiseFloorMeanDBm + p.NoiseFloorSigmaDB*l.rng.NormFloat64()
 }

@@ -152,6 +152,8 @@ func (f *Fabric) ExecuteCampaign(ctx context.Context, job *serve.ExecJob) error 
 		go f.runShard(ctx, job.ID, sh, skip, feeds[i], errCh)
 	}
 
+	// Resolved once: With takes the family lock, too dear per row.
+	merged := f.tel.rowsMerged.With()
 	next := job.Resume
 	for i, sh := range plan.Shards {
 		local := sh.Offset - base
@@ -185,7 +187,7 @@ func (f *Fabric) ExecuteCampaign(ctx context.Context, job *serve.ExecJob) error 
 					return err
 				}
 				next++
-				f.tel.rowMerged()
+				merged.Inc()
 			case err := <-errCh:
 				return err
 			case <-ctx.Done():
@@ -285,6 +287,9 @@ func (f *Fabric) streamShard(ctx context.Context, r *Runner, sh Shard, cursor *i
 			cancel()
 		}
 	}()
+	// Resolved once per attempt: With takes the family lock, and the
+	// shard goroutines would contend on it for every row.
+	received := f.tel.runnerRows.With(r.URL())
 	_, err = r.client.StreamRows(ctx, st.ID, *cursor-1, func(row serve.StreamedRow) error {
 		if row.Index != *cursor {
 			return fmt.Errorf("fabric: runner %s shard %d: row %d out of order, want %d",
@@ -296,7 +301,7 @@ func (f *Fabric) streamShard(ctx context.Context, r *Runner, sh Shard, cursor *i
 			return ctx.Err()
 		}
 		*cursor++
-		f.tel.runnerRow(r.URL())
+		received.Inc()
 		return nil
 	})
 	if err != nil {

@@ -54,11 +54,3 @@ func (t *telemetry) shardCompleted(url string) {
 func (t *telemetry) requeued(url string, shard int) {
 	t.requeues.With(url, strconv.Itoa(shard)).Inc()
 }
-
-func (t *telemetry) rowMerged() {
-	t.rowsMerged.With().Inc()
-}
-
-func (t *telemetry) runnerRow(url string) {
-	t.runnerRows.With(url).Inc()
-}

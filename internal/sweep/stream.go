@@ -184,12 +184,6 @@ func stream[R any](ctx context.Context, cfgs []stack.Config, opts RunOptions, fi
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// The kernel checks ctx.Err once per packet, and up to Go 1.24
-			// a cancelCtx's Err takes its mutex: workers sharing sctx would
-			// serialize on that lock. A per-worker child reports sctx's
-			// error unchanged and keeps the lock private to this goroutine.
-			wctx, wcancel := context.WithCancel(sctx)
-			defer wcancel()
 			// Made on the first block, so a worker that gets none
 			// allocates nothing and a small job allocates only its size.
 			var run blockRunner[R]
@@ -206,7 +200,7 @@ func stream[R any](ctx context.Context, cfgs []stack.Config, opts RunOptions, fi
 				if opts.Metrics != nil {
 					t0 = time.Now()
 				}
-				run(wctx, bstart, rows[:n], errs[:n])
+				run(sctx, bstart, rows[:n], errs[:n])
 				if opts.Metrics != nil {
 					// Per-config durations inside a block are not observable
 					// individually; attribute the block evenly so counts and
@@ -260,9 +254,16 @@ func stream[R any](ctx context.Context, cfgs []stack.Config, opts RunOptions, fi
 	go func() { wg.Wait(); close(results) }()
 
 	// The emitter: reorder out-of-order completions and yield the
-	// contiguous prefix. pending never exceeds window entries, nor the
-	// configurations left to run.
-	pending := make(map[int]outcome[R], min(window, len(cfgs)-start))
+	// contiguous prefix. Outcome idx waits in slot (idx-start) % len(pending):
+	// the tokens keep every outcome in flight below next+window, and there
+	// are no more than the configurations left to run, so no two waiting
+	// outcomes share a slot. A slot holds outcome next exactly when its idx
+	// says so; any other idx there was emitted already.
+	pending := make([]outcome[R], min(window, len(cfgs)-start))
+	for s := range pending {
+		pending[s].idx = -1
+	}
+	waiting := 0
 	next := start
 	group := groupCommit{commit: opts.Commit, ck: ck, metrics: opts.Metrics, done: start}
 	var failures []*ConfigError
@@ -277,17 +278,18 @@ loop:
 		if opts.Metrics != nil {
 			arrival = time.Now()
 		}
-		pending[out.idx] = out
+		pending[(out.idx-start)%len(pending)] = out
+		waiting++
 		if opts.pendingGauge != nil {
-			opts.pendingGauge(len(pending))
+			opts.pendingGauge(waiting)
 		}
-		opts.Metrics.ObserveWindow(len(pending))
+		opts.Metrics.ObserveWindow(waiting)
 		for {
-			o, ok := pending[next]
-			if !ok {
+			o := &pending[(next-start)%len(pending)]
+			if o.idx != next {
 				break
 			}
-			delete(pending, next)
+			waiting--
 			<-tokens
 			if o.err != nil {
 				if errors.Is(o.err, context.Canceled) || errors.Is(o.err, context.DeadlineExceeded) {

@@ -138,6 +138,28 @@ func TestStreamWindowBoundedBatch(t *testing.T) {
 	}
 }
 
+// TestStreamAllocsIndependentOfRows: the emitter reorders rows in a ring
+// of slots, so a campaign's allocations do not grow with its row count.
+// Blocks of 4 on two workers complete out of order and exercise the
+// reorder.
+func TestStreamAllocsIndependentOfRows(t *testing.T) {
+	all := stack.DefaultSpace().All()
+	allocs := func(n int) float64 {
+		return testing.AllocsPerRun(5, func() {
+			if err := StreamConfigs(context.Background(), all[:n],
+				RunOptions{Packets: 2, Workers: 2, BatchSize: 4}, nil); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	const small, large = 64, 1024
+	a, b := allocs(small), allocs(large)
+	if grow := b - a; grow > (large-small)/16 {
+		t.Errorf("allocs: %v for %d rows, %v for %d rows; grew %v, want well under one per row",
+			a, small, b, large, grow)
+	}
+}
+
 // invalidAt returns the small-space configurations with the given indices
 // made invalid (zero payload fails stack validation inside the simulator).
 func invalidAt(t *testing.T, idxs ...int) []stack.Config {
@@ -445,9 +467,9 @@ func scenarioCSVStream(spec scenario.Spec, cfgs []stack.Config) csvStream {
 
 // TestStopMidBlockTwoWorkers lands a cancel and an expiring deadline while
 // both workers of a two-worker campaign are inside the kernel, in the link
-// engine (four-configuration blocks) and the star engine. Each worker
-// checks its own child of the run's context, so the stop must reach every
-// child with the parent's error. The yield hook arms the trap at a fixed
+// engine (four-configuration blocks) and the star engine. Both workers
+// poll the run's context between packets, so the stop must reach each of
+// them with the context's error. The yield hook arms the trap at a fixed
 // row; the stop lands once both workers are parked in it. The sidecar must
 // then hold exactly the yielded rows, and resuming from it must give the
 // uninterrupted run's bytes.
@@ -517,9 +539,9 @@ func TestStopMidBlockTwoWorkers(t *testing.T) {
 				select {
 				case <-model.allParked:
 					if !deadline {
-						// cancel returns once every child context is
-						// canceled, so the woken workers' next
-						// per-packet check fails.
+						// cancel closes the context's Done channel
+						// before it returns, so the woken workers'
+						// next per-packet poll fails.
 						cancel()
 						close(release)
 					}
