@@ -157,7 +157,11 @@ func BenchmarkRunBatch(b *testing.B) {
 	}
 	arena := wsnlink.NewSimBatchArena()
 	opts := wsnlink.SimBatchOptions{Packets: 250, Seeds: seeds, Arena: arena}
-	ctx := context.Background()
+	// A cancelable context, as every sweep worker runs under: the kernel's
+	// per-packet cancellation poll takes its Done-channel branch, not the
+	// Err fallback a never-canceled context selects.
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	if _, _, err := wsnlink.SimulateBatch(ctx, cfgs, opts); err != nil {
 		b.Fatal(err) // warm the arena so the loop measures steady state
 	}

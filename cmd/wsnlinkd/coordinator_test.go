@@ -16,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"wsnlink/internal/fabric"
 	"wsnlink/internal/serve"
 	"wsnlink/internal/sweep"
 )
@@ -150,6 +151,12 @@ func requeueTotal(t *testing.T, metricsText string) float64 {
 // same campaign run on a plain single daemon.
 func TestCoordinatorShardedCampaignSurvivesRunnerKill(t *testing.T) {
 	spec := slowSpec()
+	// The kill below counts on runner 0 hosting two of six shards: the
+	// spec must carry enough packets for the plan to cut six at the
+	// default -shards-per-runner of 2 over three runners.
+	if p, err := fabric.PlanShards(spec, 2*3); err != nil || len(p.Shards) != 6 {
+		t.Fatalf("slowSpec plans %d shards (err %v), want 6", len(p.Shards), err)
+	}
 	ctx, cancel := context.WithTimeout(context.Background(), 300*time.Second)
 	defer cancel()
 

@@ -1,10 +1,12 @@
 package fabric
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"log/slog"
+	"sync"
 	"time"
 
 	"wsnlink/internal/obs"
@@ -17,10 +19,10 @@ type Options struct {
 	Runners []string
 	// ProbeInterval is the runner liveness probe period (0 = 250ms).
 	ProbeInterval time.Duration
-	// ShardsPerRunner scales the plan: a campaign is cut into
-	// ShardsPerRunner * len(Runners) shards (capped at the configuration
-	// count), so losing one runner requeues fractions of the campaign, not
-	// half of it. 0 = 2.
+	// ShardsPerRunner scales the plan: a campaign is cut into at most
+	// ShardsPerRunner * len(Runners) shards, so losing one runner requeues
+	// fractions of the campaign, not half of it. A campaign too small to
+	// pay for that many shards gets fewer (see PlanShards). 0 = 2.
 	ShardsPerRunner int
 	// MaxRequeues is how many times one shard may be requeued onto a new
 	// runner before the campaign fails (0 = 3).
@@ -106,18 +108,21 @@ func (e shardFailedError) Error() string { return e.err.Error() }
 func (e shardFailedError) Unwrap() error { return e.err }
 
 // ExecuteCampaign implements serve.Executor: plan shards, dispatch each to
-// a live runner, and merge the streams in shard order into job.Emit. Every
-// emitted row re-indexes a runner row back into the job's local space, so
-// the coordinator's spool, checkpoint and NDJSON stream are byte-identical
-// to a single daemon running the whole campaign.
+// a live runner, and merge the streams in shard order into job.EmitLine.
+// The merge splices each runner line into the job's spool renumbered back
+// into the job's local space, so the coordinator's spool, checkpoint and
+// NDJSON stream are byte-identical to a single daemon running the whole
+// campaign, without decoding a row.
 //
-// Shard streams run concurrently: each feeds a bounded channel while the
-// merge loop drains them strictly in shard order (rows must hit Emit
-// densely). A failed runner's shard is requeued on a surviving runner from
-// the shard's own cursor — rows already buffered or merged are never
-// re-requested, and the runner resumes from its checkpoint.
+// Shard streams run concurrently: each feeds a bounded lineFeed while the
+// merge loop drains them strictly in shard order (rows must reach EmitLine
+// densely), taking every line a shard has buffered at once. A failed
+// runner's shard is requeued on a surviving runner from the shard's own
+// cursor — rows already buffered or merged are never re-requested, and the
+// runner resumes from its checkpoint.
 func (f *Fabric) ExecuteCampaign(ctx context.Context, job *serve.ExecJob) error {
-	plan, err := PlanShards(job.Spec, f.opts.ShardsPerRunner*len(f.reg.Runners()))
+	runners := len(f.reg.Runners())
+	plan, err := PlanShards(job.Spec, f.opts.ShardsPerRunner*runners)
 	if err != nil {
 		return err
 	}
@@ -127,16 +132,19 @@ func (f *Fabric) ExecuteCampaign(ctx context.Context, job *serve.ExecJob) error 
 		obs.LogKeyFingerprint, plan.Campaign,
 		"configs", plan.Configs,
 		"shards", len(plan.Shards),
-		"runners", len(f.reg.Runners()))
+		"runners", runners)
 
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
 	base := job.Spec.ShardOffset // global offset of the job's row 0
-	feeds := make([]chan serve.StreamedRow, len(plan.Shards))
+	feeds := make([]*lineFeed, len(plan.Shards))
+	// submitted[i] closes once shard i's first submit has returned.
+	submitted := make([]chan struct{}, len(plan.Shards))
 	errCh := make(chan error, len(plan.Shards))
 	for i, sh := range plan.Shards {
-		feeds[i] = make(chan serve.StreamedRow, f.opts.ShardBuffer)
+		feeds[i] = newLineFeed(f.opts.ShardBuffer)
+		submitted[i] = make(chan struct{})
 		local := sh.Offset - base
 		// Rows the coordinator already checkpointed are never re-fetched:
 		// a fully-merged shard is skipped outright, a partial one resumes
@@ -146,29 +154,31 @@ func (f *Fabric) ExecuteCampaign(ctx context.Context, job *serve.ExecJob) error 
 			skip = 0
 		}
 		if skip >= sh.Count {
-			close(feeds[i])
+			feeds[i].close()
+			close(submitted[i])
 			continue
 		}
-		go f.runShard(ctx, job.ID, sh, skip, feeds[i], errCh)
+		// A runner's queue is FIFO and shard i lands on runner i mod R:
+		// submitting after shard i-R keeps each runner's queue in merge
+		// order, so no runner works ahead of the shard the merge waits for.
+		var prev <-chan struct{}
+		if i >= runners {
+			prev = submitted[i-runners]
+		}
+		go f.runShard(ctx, job.ID, sh, skip, prev, submitted[i], feeds[i], errCh)
 	}
 
-	// Resolved once: With takes the family lock, too dear per row.
+	// Resolved once: With takes the family lock, too dear per run.
 	merged := f.tel.rowsMerged.With()
+	var run []byte
 	next := job.Resume
 	for i, sh := range plan.Shards {
 		local := sh.Offset - base
 		for next < local+sh.Count {
-			if len(feeds[i]) == 0 {
-				// Nothing merged is waiting behind this row: commit the
-				// run so far before blocking, so the coordinator's
-				// streamers follow the merge a run at a time.
-				if err := job.Commit(); err != nil {
-					return err
-				}
-			}
-			select {
-			case r, ok := <-feeds[i]:
-				if !ok {
+			lines, rows, closed := feeds[i].take(run)
+			run = lines[:0]
+			if rows == 0 {
+				if closed {
 					// The shard goroutine is gone; prefer its error over a
 					// generic truncation report.
 					select {
@@ -179,33 +189,123 @@ func (f *Fabric) ExecuteCampaign(ctx context.Context, job *serve.ExecJob) error 
 					return fmt.Errorf("fabric: shard %d stream ended at row %d of %d",
 						sh.Index, next-local, sh.Count)
 				}
-				r.Index += local
-				if r.Index != next {
-					return fmt.Errorf("fabric: merged row %d out of order, want %d", r.Index, next)
+				// Nothing merged is waiting behind this row: commit the
+				// run so far before blocking, so the coordinator's
+				// streamers follow the merge a run at a time.
+				if err := job.Commit(); err != nil {
+					return err
 				}
-				if err := job.Emit(r); err != nil {
+				select {
+				case <-feeds[i].ready:
+				case err := <-errCh:
+					return err
+				case <-ctx.Done():
+					return ctx.Err()
+				}
+				continue
+			}
+			for len(lines) > 0 {
+				nl := bytes.IndexByte(lines, '\n')
+				if err := job.EmitLine(next, lines[:nl]); err != nil {
 					return err
 				}
 				next++
-				merged.Inc()
-			case err := <-errCh:
-				return err
-			case <-ctx.Done():
-				return ctx.Err()
+				lines = lines[nl+1:]
 			}
+			merged.Add(int64(rows))
 		}
 	}
 	return nil
 }
 
+// lineFeed hands one shard's rows from its stream to the merge as runs of
+// lines: the stream appends each line under the lock, and the merge takes
+// every line buffered so far in one swap, so a burst the runner sent
+// together crosses over together. At most limit rows wait in the feed; a
+// stream that far ahead of the merge blocks until the merge takes them.
+type lineFeed struct {
+	mu     sync.Mutex
+	lines  []byte // newline-terminated rows not yet taken
+	rows   int
+	closed bool
+	limit  int
+	ready  chan struct{} // lines arrived or the feed closed
+	space  chan struct{} // the merge took the buffered lines
+}
+
+func newLineFeed(limit int) *lineFeed {
+	return &lineFeed{limit: limit, ready: make(chan struct{}, 1), space: make(chan struct{}, 1)}
+}
+
+// signal leaves a wake-up on a one-slot channel unless one is pending.
+func signal(ch chan struct{}) {
+	select {
+	case ch <- struct{}{}:
+	default:
+	}
+}
+
+// put appends one line, first waiting while limit rows are buffered.
+func (f *lineFeed) put(ctx context.Context, line []byte) error {
+	f.mu.Lock()
+	for f.rows >= f.limit {
+		f.mu.Unlock()
+		select {
+		case <-f.space:
+		case <-ctx.Done():
+			return ctx.Err()
+		}
+		f.mu.Lock()
+	}
+	f.lines = append(append(f.lines, line...), '\n')
+	f.rows++
+	f.mu.Unlock()
+	signal(f.ready)
+	return nil
+}
+
+// close ends the feed: the merge takes what is buffered, then sees it
+// closed.
+func (f *lineFeed) close() {
+	f.mu.Lock()
+	f.closed = true
+	f.mu.Unlock()
+	signal(f.ready)
+}
+
+// take returns the buffered lines and their row count, leaving spare (an
+// emptied buffer the merge is done with) in their place, and whether the
+// feed is closed.
+func (f *lineFeed) take(spare []byte) (lines []byte, rows int, closed bool) {
+	f.mu.Lock()
+	lines, rows, closed = f.lines, f.rows, f.closed
+	f.lines, f.rows = spare, 0
+	f.mu.Unlock()
+	if rows > 0 {
+		signal(f.space)
+	}
+	return lines, rows, closed
+}
+
 // runShard owns one shard's lifecycle: pick a live runner, submit, stream
 // from the cursor, and on transport failure requeue the remainder on
-// another runner. Rows land on out in shard-local order starting at skip;
-// out is closed when the shard is finished or abandoned (with the error on
-// errCh).
+// another runner. Rows land on feed in shard-local order starting at skip;
+// feed is closed when the shard is finished or abandoned (with the error
+// on errCh). The first submit waits for prev to close and then closes
+// submitted; requeues do not wait.
 func (f *Fabric) runShard(ctx context.Context, jobID string, sh Shard, skip int,
-	out chan<- serve.StreamedRow, errCh chan<- error) {
-	defer close(out)
+	prev <-chan struct{}, submitted chan struct{}, feed *lineFeed, errCh chan<- error) {
+	defer feed.close()
+	release := sync.OnceFunc(func() { close(submitted) })
+	defer release()
+	if prev != nil {
+		select {
+		case <-prev:
+		case <-ctx.Done():
+			errCh <- ctx.Err()
+			return
+		}
+	}
 	// One correlation ID per shard, shared across every runner that touches
 	// it, so runner logs stitch into the coordinator's story.
 	sctx := obs.WithRequestID(ctx, fmt.Sprintf("%s-s%02d", jobID, sh.Index))
@@ -220,7 +320,7 @@ func (f *Fabric) runShard(ctx context.Context, jobID string, sh Shard, skip int,
 				sh.Index, sh.Fingerprint, f.opts.AllDeadGrace)
 			return
 		}
-		err := f.streamShard(sctx, r, sh, &cursor, out)
+		err := f.streamShard(sctx, r, sh, &cursor, release, feed)
 		if err == nil {
 			f.tel.shardCompleted(r.URL())
 			return
@@ -268,8 +368,9 @@ func (f *Fabric) runShard(ctx context.Context, jobID string, sh Shard, skip int,
 // status distinguishes a shard that failed (give up) from one that was
 // preempted (retry elsewhere).
 func (f *Fabric) streamShard(ctx context.Context, r *Runner, sh Shard, cursor *int,
-	out chan<- serve.StreamedRow) error {
+	submitted func(), feed *lineFeed) error {
 	st, err := r.client.Submit(ctx, sh.Spec)
+	submitted()
 	if err != nil {
 		return err
 	}
@@ -290,15 +391,13 @@ func (f *Fabric) streamShard(ctx context.Context, r *Runner, sh Shard, cursor *i
 	// Resolved once per attempt: With takes the family lock, and the
 	// shard goroutines would contend on it for every row.
 	received := f.tel.runnerRows.With(r.URL())
-	_, err = r.client.StreamRows(ctx, st.ID, *cursor-1, func(row serve.StreamedRow) error {
-		if row.Index != *cursor {
-			return fmt.Errorf("fabric: runner %s shard %d: row %d out of order, want %d",
-				r.URL(), sh.Index, row.Index, *cursor)
+	_, err = r.client.StreamLines(ctx, st.ID, *cursor-1, func(index int, line []byte) error {
+		if index != *cursor || index >= sh.Count {
+			return fmt.Errorf("fabric: runner %s shard %d: row %d out of order, want %d of %d",
+				r.URL(), sh.Index, index, *cursor, sh.Count)
 		}
-		select {
-		case out <- row:
-		case <-ctx.Done():
-			return ctx.Err()
+		if err := feed.put(ctx, line); err != nil {
+			return err
 		}
 		*cursor++
 		received.Inc()

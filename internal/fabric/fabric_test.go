@@ -1,11 +1,15 @@
 package fabric
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strconv"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -25,6 +29,13 @@ type runner struct {
 
 func startRunner(t *testing.T, opts serve.Options) *runner {
 	t.Helper()
+	return startRunnerBehind(t, opts, nil)
+}
+
+// startRunnerBehind starts a runner whose handler sits behind front (nil:
+// none), which sees every request first.
+func startRunnerBehind(t *testing.T, opts serve.Options, front func(http.Handler) http.Handler) *runner {
+	t.Helper()
 	srv, err := serve.Open(t.TempDir(), opts)
 	if err != nil {
 		t.Fatalf("open runner: %v", err)
@@ -34,7 +45,11 @@ func startRunner(t *testing.T, opts serve.Options) *runner {
 		defer cancel()
 		srv.Drain(ctx) //nolint:errcheck // test cleanup
 	})
-	ts := httptest.NewServer(srv.Handler())
+	h := srv.Handler()
+	if front != nil {
+		h = front(h)
+	}
+	ts := httptest.NewServer(h)
 	t.Cleanup(ts.Close)
 	return &runner{srv: srv, ts: ts}
 }
@@ -116,11 +131,28 @@ func referenceRows(t *testing.T, spec serve.CampaignSpec) []byte {
 	return rawRows(t, ref.ts.URL, st.ID)
 }
 
+// fleetSpec is planSpec at the fewest packets per configuration that
+// still plan it into six two-config shards: two per runner of a
+// three-runner fleet, so a lost runner's shards requeue across runners.
+func fleetSpec(t *testing.T) serve.CampaignSpec {
+	t.Helper()
+	spec := planSpec()
+	spec.Packets = minShardPackets / 2
+	p, err := PlanShards(spec, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(p.Shards) != 6 {
+		t.Fatalf("fleet spec plans %d shards, want 6", len(p.Shards))
+	}
+	return spec
+}
+
 // TestFabricMergedStreamByteIdentical is the tentpole proof in miniature:
 // a campaign sharded across three runners streams, from the coordinator,
 // the exact bytes a single daemon produces for the same spec.
 func TestFabricMergedStreamByteIdentical(t *testing.T) {
-	spec := planSpec()
+	spec := fleetSpec(t)
 	want := referenceRows(t, spec)
 
 	var urls []string
@@ -156,7 +188,7 @@ func TestFabricMergedStreamByteIdentical(t *testing.T) {
 // completes, the merged bytes still match a single-daemon run, and the
 // requeue is visible in the fabric metrics.
 func TestFabricRunnerLossRequeues(t *testing.T) {
-	spec := planSpec()
+	spec := fleetSpec(t)
 	spec.Workers = 1
 	// One config per kernel call, so a runner's shard job reaches its row
 	// 1 as a row of its own. Batch size is not part of the fingerprint.
@@ -241,6 +273,112 @@ func TestFabricRunnerLossRequeues(t *testing.T) {
 	}
 	if requeues == 0 {
 		t.Fatal("no shard requeue recorded after killing a runner")
+	}
+}
+
+// TestLineFeedHandsRunsInOrder drives one feed from a stream goroutine
+// while this goroutine merges: every line arrives once, in order, in runs
+// of at most limit rows, and the merge sees the feed closed only after the
+// last line.
+func TestLineFeedHandsRunsInOrder(t *testing.T) {
+	const lines, limit = 5000, 7
+	feed := newLineFeed(limit)
+	ctx := context.Background()
+	go func() {
+		defer feed.close()
+		for i := 0; i < lines; i++ {
+			if err := feed.put(ctx, []byte(strconv.Itoa(i))); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	var run []byte
+	next := 0
+	for {
+		got, rows, closed := feed.take(run)
+		run = got[:0]
+		if rows > limit {
+			t.Fatalf("took a run of %d rows, limit %d", rows, limit)
+		}
+		for k := 0; k < rows; k++ {
+			nl := bytes.IndexByte(got, '\n')
+			if string(got[:nl]) != strconv.Itoa(next) {
+				t.Fatalf("line %q, want %d", got[:nl], next)
+			}
+			next++
+			got = got[nl+1:]
+		}
+		if len(got) != 0 {
+			t.Fatalf("run holds %q past its %d rows", got, rows)
+		}
+		if rows == 0 {
+			if closed {
+				break
+			}
+			<-feed.ready
+		}
+	}
+	if next != lines {
+		t.Fatalf("merged %d lines, want %d", next, lines)
+	}
+}
+
+// submitLog records, in arrival order, the shard offset of every campaign
+// submitted to the handler behind it.
+type submitLog struct {
+	mu      sync.Mutex
+	offsets []int
+}
+
+func (l *submitLog) front(next http.Handler) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodPost && r.URL.Path == "/v1/campaigns" {
+			body, err := io.ReadAll(r.Body)
+			var spec serve.CampaignSpec
+			if err == nil && json.Unmarshal(body, &spec) == nil {
+				l.mu.Lock()
+				l.offsets = append(l.offsets, spec.ShardOffset)
+				l.mu.Unlock()
+			}
+			r.Body = io.NopCloser(bytes.NewReader(body))
+		}
+		next.ServeHTTP(w, r)
+	})
+}
+
+// TestFabricSubmitsEachRunnersShardsInPlanOrder: each runner's FIFO queue
+// receives its shards in plan order — a later shard's submit never races
+// ahead of the earlier one the in-order merge needs first.
+func TestFabricSubmitsEachRunnersShardsInPlanOrder(t *testing.T) {
+	spec := fleetSpec(t)
+	logs := make([]*submitLog, 2)
+	var urls []string
+	for i := range logs {
+		logs[i] = &submitLog{}
+		urls = append(urls, startRunnerBehind(t, serve.Options{Logger: obs.NopLogger()}, logs[i].front).ts.URL)
+	}
+	_, cl := startCoordinator(t, urls, nil) // 2 shards per runner
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+	for seed := uint64(1); seed <= 3; seed++ {
+		spec.BaseSeed = seed
+		if _, err := cl.Run(ctx, spec, func(serve.StreamedRow) error { return nil }); err != nil {
+			t.Fatalf("coordinator run: %v", err)
+		}
+	}
+	for i, l := range logs {
+		l.mu.Lock()
+		got := append([]int(nil), l.offsets...)
+		l.mu.Unlock()
+		if len(got) != 6 {
+			t.Fatalf("runner %d got %d submits, want 2 per campaign: %v", i, len(got), got)
+		}
+		for k := 0; k < len(got); k += 2 {
+			if got[k] >= got[k+1] {
+				t.Fatalf("runner %d got its shards out of plan order: offsets %v", i, got)
+			}
+		}
 	}
 }
 

@@ -52,11 +52,23 @@ type Plan struct {
 	Shards  []Shard `json:"shards"`
 }
 
+// minShardPackets is the fewest simulated packets a shard must carry for
+// its fixed cost to stay near a tenth of its simulation time. Each shard
+// costs its runner a submit, a spool, a promote and three job records —
+// `serve.job_fixed_ms` 1.2–1.7 ms on one daemon in the campaignbench
+// ledger — plus its own stream. The kernel behind a daemon simulates about
+// 8.3M packets/s (fresh-large: 33.1k rows/s of 250 packets, 2 vCPUs), so
+// 100 000 packets are ~12 ms of simulation and 1.2 ms is ~10 % of it.
+// Cheaper shards buy no parallelism the runners do not already have.
+const minShardPackets = 100_000
+
 // PlanShards cuts spec into at most shards contiguous near-equal windows
-// (never more than one row apart in size, never empty). A whole-space spec
-// shards over the full enumeration; a spec that is itself a shard is split
-// within its window, with absolute offsets, so plans compose. shards < 1 is
-// treated as 1.
+// (never more than one row apart in size, never empty), and into fewer when
+// the campaign is too small to pay for them: no more than one shard per
+// minShardPackets simulated packets (configurations × packets). A
+// whole-space spec shards over the full enumeration; a spec that is itself
+// a shard is split within its window, with absolute offsets, so plans
+// compose. shards < 1 is treated as 1.
 func PlanShards(spec serve.CampaignSpec, shards int) (Plan, error) {
 	norm, err := spec.Normalized(serve.Limits{})
 	if err != nil {
@@ -70,6 +82,9 @@ func PlanShards(spec serve.CampaignSpec, shards int) (Plan, error) {
 	size := norm.ShardCount
 	if size == 0 {
 		size = norm.Space.Space().Size()
+	}
+	if paid := int64(size) * int64(norm.Packets) / minShardPackets; int64(shards) > paid {
+		shards = int(paid)
 	}
 	if shards < 1 {
 		shards = 1

@@ -9,7 +9,10 @@ import (
 )
 
 // planSpec is a 12-configuration campaign (3 distances x 2 powers x
-// 2 retry caps), small enough to plan and simulate quickly.
+// 2 retry caps), small enough to plan and simulate quickly. Its 100 000
+// packets per configuration are minShardPackets: enough that the plan rule
+// lets every configuration be a shard of its own, so the geometry tests
+// and the multi-runner fabric tests get the shard counts they ask for.
 func planSpec() serve.CampaignSpec {
 	return serve.CampaignSpec{
 		Space: serve.SpaceSpec{
@@ -21,7 +24,7 @@ func planSpec() serve.CampaignSpec {
 			PktIntervalsS: []float64{0.1},
 			PayloadsBytes: []int{50},
 		},
-		Packets:  40,
+		Packets:  minShardPackets,
 		BaseSeed: 7,
 	}
 }
@@ -100,6 +103,54 @@ func TestPlanShardsClamps(t *testing.T) {
 	if p1.Shards[0].Fingerprint != p1.Campaign {
 		t.Fatalf("whole-space shard fingerprint %s != campaign %s",
 			p1.Shards[0].Fingerprint, p1.Campaign)
+	}
+}
+
+// TestPlanShardsPaysForShards pins the plan rule at the shapes it was
+// set for: a campaign gets one shard per minShardPackets simulated packets
+// at most, so a small job goes whole to one runner, a 1024-config campaign
+// of 250 packets (campaignbench's fabric-large) gets one shard per runner,
+// and the paper's Table I grid at 4500 packets keeps the full
+// ShardsPerRunner × runners.
+func TestPlanShardsPaysForShards(t *testing.T) {
+	const shardsPerRunner = 2 // the Options default
+	small := planSpec()
+	small.Space.DistancesM = []float64{5, 10}
+	small.Space.MaxTries = []int{1}
+	small.Packets = 120
+	large := serve.CampaignSpec{
+		Space: serve.SpaceSpec{
+			DistancesM:    []float64{5, 15, 25, 35},
+			TxPowers:      []int{3, 7, 11, 15, 19, 23, 27, 31},
+			MaxTries:      []int{1, 3},
+			RetryDelaysS:  []float64{0.03},
+			QueueCaps:     []int{30},
+			PktIntervalsS: []float64{0.03, 0.1},
+			PayloadsBytes: []int{5, 20, 35, 50, 65, 80, 95, 110},
+		},
+		Packets:  250,
+		BaseSeed: 7,
+	}
+	paper := serve.CampaignSpec{Packets: 4500, BaseSeed: 7} // every axis defaults: stack.DefaultSpace
+	for _, tc := range []struct {
+		name    string
+		spec    serve.CampaignSpec
+		runners int
+		configs int
+		want    int
+	}{
+		{"4 configs", small, 2, 4, 1},
+		{"fabric-large", large, 2, 1024, 2},
+		{"Table I at 4500 packets", paper, 3, 53760, shardsPerRunner * 3},
+	} {
+		p, err := PlanShards(tc.spec, shardsPerRunner*tc.runners)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if p.Configs != tc.configs || len(p.Shards) != tc.want {
+			t.Errorf("%s: %d configs in %d shards, want %d in %d",
+				tc.name, p.Configs, len(p.Shards), tc.configs, tc.want)
+		}
 	}
 }
 

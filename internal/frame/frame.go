@@ -54,7 +54,13 @@ var (
 	ErrTooShort        = errors.New("frame: buffer shorter than MAC header + FCS")
 	ErrBadFCS          = errors.New("frame: FCS check failed")
 	ErrBadType         = errors.New("frame: unsupported frame type")
+	ErrBadHeader       = errors.New("frame: header outside the TinyOS CC2420 layout")
 )
+
+// dataFCF is the frame control field of every TinyOS data frame: data
+// type, ACK request, intra-PAN, 16-bit destination and source addressing.
+const dataFCF = uint16(TypeData) | 1<<5 /*ack request*/ | 1<<6 /*intra-PAN*/ |
+	2<<10 /*dest addr mode*/ | 2<<14 /*src addr mode*/
 
 // DataFrame is a decoded data frame.
 type DataFrame struct {
@@ -80,10 +86,7 @@ func EncodeData(f DataFrame) ([]byte, error) {
 		return nil, ErrPayloadTooLarge
 	}
 	buf := make([]byte, MACHeaderBytes+len(f.Payload)+FCSBytes)
-	// FCF: data frame, ACK request, intra-PAN, 16-bit addressing.
-	fcf := uint16(TypeData) | 1<<5 /*ack request*/ | 1<<6 /*intra-PAN*/ |
-		2<<10 /*dest addr mode*/ | 2<<14 /*src addr mode*/
-	binary.LittleEndian.PutUint16(buf[0:2], fcf)
+	binary.LittleEndian.PutUint16(buf[0:2], dataFCF)
 	buf[2] = f.Seq
 	binary.LittleEndian.PutUint16(buf[3:5], f.DestPAN)
 	binary.LittleEndian.PutUint16(buf[5:7], f.Dest)
@@ -96,7 +99,9 @@ func EncodeData(f DataFrame) ([]byte, error) {
 	return buf, nil
 }
 
-// DecodeData parses and validates a data frame MPDU produced by EncodeData.
+// DecodeData parses and validates a data frame MPDU produced by EncodeData:
+// it accepts exactly the frames EncodeData writes, so an accepted frame
+// re-encodes to the same bytes (FuzzDecodeData pins this).
 func DecodeData(buf []byte) (DataFrame, error) {
 	if len(buf) < MACHeaderBytes+FCSBytes {
 		return DataFrame{}, ErrTooShort
@@ -108,6 +113,13 @@ func DecodeData(buf []byte) (DataFrame, error) {
 	fcf := binary.LittleEndian.Uint16(buf[0:2])
 	if uint8(fcf&0x7) != TypeData {
 		return DataFrame{}, fmt.Errorf("%w: type %d", ErrBadType, fcf&0x7)
+	}
+	if fcf != dataFCF || buf[10] != 0 {
+		return DataFrame{}, fmt.Errorf("%w: frame control %#04x, reserved byte %#02x",
+			ErrBadHeader, fcf, buf[10])
+	}
+	if len(buf) > MaxMPDUBytes {
+		return DataFrame{}, ErrPayloadTooLarge
 	}
 	f := DataFrame{
 		Seq:     buf[2],
@@ -147,6 +159,9 @@ func DecodeAck(buf []byte) (AckFrame, error) {
 	fcf := binary.LittleEndian.Uint16(buf[0:2])
 	if uint8(fcf&0x7) != TypeAck {
 		return AckFrame{}, fmt.Errorf("%w: type %d", ErrBadType, fcf&0x7)
+	}
+	if fcf != uint16(TypeAck) {
+		return AckFrame{}, fmt.Errorf("%w: frame control %#04x", ErrBadHeader, fcf)
 	}
 	return AckFrame{Seq: buf[2]}, nil
 }

@@ -189,3 +189,37 @@ func TestDecodeDataCopiesPayload(t *testing.T) {
 		t.Error("decoded payload aliases the input buffer")
 	}
 }
+
+// TestDecodeRejectsForeignHeaders: a frame of the right type whose header
+// EncodeData/EncodeAck would never write — other frame control bits, a
+// nonzero reserved byte, an MPDU past 127 bytes — is rejected, not decoded
+// into a frame that re-encodes to different bytes.
+func TestDecodeRejectsForeignHeaders(t *testing.T) {
+	withFCS := func(b []byte) []byte {
+		fcs := CRC16(b[:len(b)-FCSBytes])
+		b[len(b)-2], b[len(b)-1] = byte(fcs), byte(fcs>>8)
+		return b
+	}
+	data, err := EncodeData(DataFrame{Seq: 5, Payload: []byte{1, 2, 3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	secured := append([]byte(nil), data...)
+	secured[0] |= 1 << 3 // security enabled
+	reserved := append([]byte(nil), data...)
+	reserved[10] = 1
+	for name, buf := range map[string][]byte{"frame control": secured, "reserved byte": reserved} {
+		if _, err := DecodeData(withFCS(buf)); !errors.Is(err, ErrBadHeader) {
+			t.Errorf("%s: err = %v, want ErrBadHeader", name, err)
+		}
+	}
+	long := withFCS(append(append([]byte(nil), data[:MACHeaderBytes]...), make([]byte, MaxPayloadBytes+1+FCSBytes)...))
+	if _, err := DecodeData(long); !errors.Is(err, ErrPayloadTooLarge) {
+		t.Errorf("128-byte MPDU: err = %v, want ErrPayloadTooLarge", err)
+	}
+	ack := EncodeAck(AckFrame{Seq: 9})
+	ack[0] |= 1 << 4 // frame pending
+	if _, err := DecodeAck(withFCS(ack)); !errors.Is(err, ErrBadHeader) {
+		t.Errorf("ack frame control: err = %v, want ErrBadHeader", err)
+	}
+}

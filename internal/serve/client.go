@@ -243,7 +243,23 @@ func (c *Client) List(ctx context.Context) (ListResponse, error) {
 // row in order. It returns the last index received (or after, when
 // nothing arrived) — the value to resume from on reconnect. The server ends
 // the stream when the job is terminal and fully sent; check Status to
-// distinguish done from failed.
+// distinguish done from failed. It is StreamLines with each line decoded,
+// and resumes dropped connections the same way.
+func (c *Client) StreamRows(ctx context.Context, id string, after int, yield func(StreamedRow) error) (int, error) {
+	return c.StreamLines(ctx, id, after, func(_ int, line []byte) error {
+		row, err := parseRowLine(line)
+		if err != nil {
+			return err
+		}
+		return yield(row)
+	})
+}
+
+// StreamLines streams the job's rows with index > after as the NDJSON
+// lines the daemon sent, calling yield per row in order with the row's
+// index and its line, without the newline. The line is valid only during
+// the call. It returns the last index received (or after, when nothing
+// arrived) — the value to resume from on reconnect.
 //
 // Dropped connections are resumed transparently: each reconnect asks for
 // rows after the last index already yielded (the same ?after= cursor any
@@ -251,13 +267,13 @@ func (c *Client) List(ctx context.Context) (ListResponse, error) {
 // order. Reconnects draw on the MaxRetries budget, which refills whenever
 // an attempt makes progress; a yield error is the caller's and is never
 // retried.
-func (c *Client) StreamRows(ctx context.Context, id string, after int, yield func(StreamedRow) error) (int, error) {
+func (c *Client) StreamLines(ctx context.Context, id string, after int, yield func(index int, line []byte) error) (int, error) {
 	ctx = requestCtx(ctx) // one ID across every reconnect of this stream
 	last := after
 	budget := c.MaxRetries
 	var yieldErr error
-	wrapped := func(r StreamedRow) error {
-		if err := yield(r); err != nil {
+	wrapped := func(index int, line []byte) error {
+		if err := yield(index, line); err != nil {
 			yieldErr = err
 			return err
 		}
@@ -282,8 +298,8 @@ func (c *Client) StreamRows(ctx context.Context, id string, after int, yield fun
 	}
 }
 
-// streamOnce is one streaming connection: open, scan NDJSON, yield.
-func (c *Client) streamOnce(ctx context.Context, id string, after int, yield func(StreamedRow) error) (int, error) {
+// streamOnce is one streaming connection: open, split NDJSON lines, yield.
+func (c *Client) streamOnce(ctx context.Context, id string, after int, yield func(int, []byte) error) (int, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
 		c.BaseURL+"/v1/campaigns/"+id+"/rows", nil)
 	if err != nil {
@@ -309,14 +325,14 @@ func (c *Client) streamOnce(ctx context.Context, id string, after int, yield fun
 		if len(bytes.TrimSpace(line)) == 0 {
 			continue
 		}
-		row, err := parseRowLine(line)
+		index, err := rowIndex(line)
 		if err != nil {
 			return last, permanentError{err}
 		}
-		if err := yield(row); err != nil {
+		if err := yield(index, line); err != nil {
 			return last, permanentError{err}
 		}
-		last = row.Index
+		last = index
 	}
 	if err := sc.Err(); err != nil {
 		return last, err

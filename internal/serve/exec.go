@@ -18,8 +18,8 @@ import (
 // across restarts (the fingerprints and sidecars are shared).
 type Executor interface {
 	// ExecuteCampaign emits every row in [job.Resume, len(job.Configs))
-	// through job.Emit, in order, honoring ctx. Returning nil before all
-	// rows are emitted is an execution error the server surfaces.
+	// through job.EmitLine, in order, honoring ctx. Returning nil before
+	// all rows are emitted is an execution error the server surfaces.
 	ExecuteCampaign(ctx context.Context, job *ExecJob) error
 }
 
@@ -41,15 +41,21 @@ type ExecJob struct {
 	// emit rows starting at index Resume.
 	Resume int
 
-	emit   func(StreamedRow) error
+	emit   func(index int, line []byte) error
 	commit func() error
 }
 
-// Emit delivers the next row. Rows must arrive in index order starting at
-// Resume; each is rendered into the spool's buffer and reaches the spool,
-// the checkpoint sidecar and the row streamers at the next Commit, or as
-// soon as maxUncommitted bytes of rows are buffered.
-func (j *ExecJob) Emit(r StreamedRow) error { return j.emit(r) }
+// EmitLine delivers the next row as its NDJSON line, without the newline:
+// a line in the canonical layout of the job's schema, as a daemon's rows
+// endpoint streams it (see scanCanonicalRow). Rows must arrive in index
+// order starting at Resume. The line's layout is checked, its index
+// rewritten to index, and the rest of its bytes spliced into the spool's
+// buffer as they are — values are not decoded or re-rendered, so the
+// executor vouches for them as a daemon's own cache does on a replay. The
+// row reaches the spool, the checkpoint sidecar and the row streamers at
+// the next Commit, or as soon as maxUncommitted bytes of rows are
+// buffered. The line is not retained.
+func (j *ExecJob) EmitLine(index int, line []byte) error { return j.emit(index, line) }
 
 // Commit makes the rows emitted since the last commit durable and visible:
 // one spool write, then one checkpoint append — the group commit the local
@@ -116,6 +122,10 @@ func (s *Server) executeRemote(ctx context.Context, e *jobEntry, spec CampaignSp
 		e.notify.Broadcast()
 		return nil
 	}
+	layout := &linkLayout
+	if scenarioRows {
+		layout = &scenarioLayout
+	}
 	job := &ExecJob{
 		ID:          e.job.ID,
 		Spec:        spec,
@@ -123,11 +133,14 @@ func (s *Server) executeRemote(ctx context.Context, e *jobEntry, spec CampaignSp
 		Configs:     cfgs,
 		Fingerprint: fingerprint,
 		Resume:      done,
-		emit: func(r StreamedRow) error {
-			if r.Index != spool.next {
-				return fmt.Errorf("serve: executor emitted row %d, want %d", r.Index, spool.next)
+		emit: func(index int, line []byte) error {
+			if index != spool.next {
+				return fmt.Errorf("serve: executor emitted row %d, want %d", index, spool.next)
 			}
-			spool.add(&r, scenarioRows)
+			if !spool.splice(line, layout) {
+				return fmt.Errorf("serve: executor row %d is not a canonical %s row line: %.80q",
+					index, scn.Kind, line)
+			}
 			e.prog.MarkDone()
 			if len(spool.rows.buf) >= maxUncommitted {
 				return commit()

@@ -78,13 +78,12 @@ var (
 // so rowFromRecord yields the same result on both paths
 // (FuzzNDJSONRowsFastPath pins this).
 func scanCanonicalRow(line []byte) (index int, rec []string, ok bool) {
-	const head = `{"index":`
-	if !bytes.HasPrefix(line, []byte(head)) || line[len(line)-1] != '}' {
+	if !bytes.HasPrefix(line, []byte(rowHead)) || line[len(line)-1] != '}' {
 		return 0, nil, false
 	}
 	// One copy of the line; every field is a substring of it.
 	s := string(line[:len(line)-1])
-	pos := len(head)
+	pos := len(rowHead)
 	end := scanJSONNumber(s, pos, true)
 	if end < 0 {
 		return 0, nil, false
@@ -98,45 +97,99 @@ func scanCanonicalRow(line []byte) (index int, rec []string, ok bool) {
 		layout = &scenarioLayout
 	}
 	rec = make([]string, len(layout.keys))
-	pos = end
-	for i, key := range layout.keys {
-		if !strings.HasPrefix(s[pos:], key) {
-			return 0, nil, false
-		}
-		pos += len(key)
-		if pos >= len(s) {
-			return 0, nil, false
-		}
-		if i == layout.tag {
-			end = scanPlainString(s, pos)
-			if end < 0 {
-				return 0, nil, false
-			}
-			rec[i] = s[pos+1 : end-1]
-		} else if s[pos] == '"' {
-			rec[i], end = nonFiniteToken(s, pos)
-			if end < 0 {
-				return 0, nil, false
-			}
-		} else {
-			end = scanJSONNumber(s, pos, false)
-			if end < 0 {
-				return 0, nil, false
-			}
-			rec[i] = s[pos:end]
-		}
-		pos = end
-	}
-	if pos != len(s) {
+	if !scanColumns(s, end, layout, rec) {
 		return 0, nil, false
 	}
 	return index, rec, true
 }
 
+// rowHead opens every canonical row line; the index value follows it.
+const rowHead = `{"index":`
+
+// text is what a row line is scanned as: the decoder's one string copy of
+// it, or the splice's bytes in place.
+type text interface{ ~string | ~[]byte }
+
+// scanColumns walks a canonical line's columns from pos to the end of s:
+// every key of layout in order, each followed by its value. When rec is
+// not nil it receives the canonical field strings; the walk itself
+// allocates nothing.
+func scanColumns[T text](s T, pos int, layout *rowLayout, rec []string) bool {
+	for i, key := range layout.keys {
+		if len(s)-pos < len(key) || string(s[pos:pos+len(key)]) != key {
+			return false
+		}
+		pos += len(key)
+		if pos >= len(s) {
+			return false
+		}
+		var end int
+		switch {
+		case i == layout.tag:
+			end = scanPlainString(s, pos)
+			if end >= 0 && rec != nil {
+				rec[i] = string(s[pos+1 : end-1])
+			}
+		case s[pos] == '"':
+			var tok string
+			tok, end = nonFiniteToken(s, pos)
+			if rec != nil {
+				rec[i] = tok
+			}
+		default:
+			end = scanJSONNumber(s, pos, false)
+			if end >= 0 && rec != nil {
+				rec[i] = string(s[pos:end])
+			}
+		}
+		if end < 0 {
+			return false
+		}
+		pos = end
+	}
+	return pos == len(s)
+}
+
+// spliceLine appends line — one row line without its newline — to dst,
+// renumbered to index and newline-terminated: the `{"index":N` head is
+// rewritten, every other byte is the line's own. The line must be in the
+// canonical layout of layout's schema (see scanCanonicalRow); its values
+// are checked for form, not re-rendered. For any other line — reordered
+// keys, whitespace, escapes, the other schema, a torn or empty line —
+// ok is false and dst comes back unchanged. It allocates only to grow dst.
+func spliceLine(dst []byte, index int, line []byte, layout *rowLayout) (out []byte, ok bool) {
+	if !bytes.HasPrefix(line, []byte(rowHead)) || line[len(line)-1] != '}' {
+		return dst, false
+	}
+	body := line[:len(line)-1]
+	end := scanJSONNumber(body, len(rowHead), true)
+	if end < 0 || !scanColumns(body, end, layout, nil) {
+		return dst, false
+	}
+	dst = strconv.AppendInt(append(dst, rowHead...), int64(index), 10)
+	return append(append(dst, line[end:]...), '\n'), true
+}
+
+// rowIndex reads the index a row line leads with: straight off the
+// canonical `{"index":N,` head, through the reference decoder for any
+// other layout.
+func rowIndex(line []byte) (int, error) {
+	if bytes.HasPrefix(line, []byte(rowHead)) {
+		end := scanJSONNumber(line, len(rowHead), true)
+		if end > 0 && end < len(line) && line[end] == ',' {
+			if index, err := strconv.Atoi(string(line[len(rowHead):end])); err == nil {
+				return index, nil
+			}
+		}
+	}
+	index, _, err := decodeRecordGeneric(line)
+	return index, err
+}
+
 // scanJSONNumber returns the end of the JSON number starting at s[pos]
 // (RFC 8259 grammar: -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?), or -1
 // if there is none. intOnly rejects the fraction and exponent parts.
-func scanJSONNumber(s string, pos int, intOnly bool) int {
+func scanJSONNumber[T text](s T, pos int, intOnly bool) int {
 	i := pos
 	if i < len(s) && s[i] == '-' {
 		i++
@@ -175,7 +228,7 @@ func scanJSONNumber(s string, pos int, intOnly bool) int {
 	return i
 }
 
-func skipDigits(s string, i int) int {
+func skipDigits[T text](s T, i int) int {
 	for i < len(s) && '0' <= s[i] && s[i] <= '9' {
 		i++
 	}
@@ -185,9 +238,9 @@ func skipDigits(s string, i int) int {
 // nonFiniteToken matches one of the wire format's quoted non-finite tokens
 // at s[pos], returning the canonical field string and the end offset (-1
 // when the quoted value is anything else).
-func nonFiniteToken(s string, pos int) (string, int) {
+func nonFiniteToken[T text](s T, pos int) (string, int) {
 	for _, tok := range [...]string{"+Inf", "-Inf", "Inf", "NaN"} {
-		if n := len(tok) + 2; len(s)-pos >= n && s[pos+n-1] == '"' && s[pos+1:pos+n-1] == tok {
+		if n := len(tok) + 2; len(s)-pos >= n && s[pos+n-1] == '"' && string(s[pos+1:pos+n-1]) == tok {
 			return tok, pos + n
 		}
 	}
@@ -197,7 +250,7 @@ func nonFiniteToken(s string, pos int) (string, int) {
 // scanPlainString returns the end of the JSON string starting at s[pos]
 // when its content is printable ASCII without escapes — the only strings
 // whose JSON decoding is their raw bytes — or -1 otherwise.
-func scanPlainString(s string, pos int) int {
+func scanPlainString[T text](s T, pos int) int {
 	if s[pos] != '"' {
 		return -1
 	}

@@ -221,3 +221,50 @@ func BenchmarkParseRowLine(b *testing.B) {
 		})
 	}
 }
+
+// TestSpliceLineDoesNotAllocate: the coordinator's per-row splice checks
+// and copies in place; only growing the spool buffer may allocate.
+func TestSpliceLineDoesNotAllocate(t *testing.T) {
+	link, star := canonicalLines(t)
+	dst := make([]byte, 0, 4096)
+	for _, tc := range []struct {
+		line   []byte
+		layout *rowLayout
+	}{{link, &linkLayout}, {star, &scenarioLayout}} {
+		if n := testing.AllocsPerRun(100, func() {
+			var ok bool
+			if dst, ok = spliceLine(dst[:0], 123456, tc.line, tc.layout); !ok {
+				t.Fatal("canonical line rejected")
+			}
+		}); n != 0 {
+			t.Fatalf("spliceLine allocates %.1f times per line", n)
+		}
+	}
+}
+
+// BenchmarkSpliceLine prices the coordinator's per-row merge on a real link
+// and star line: the layout check, the index rewrite and the copy into the
+// spool buffer. It must not allocate once the buffer has grown.
+func BenchmarkSpliceLine(b *testing.B) {
+	link, star := canonicalLines(b)
+	for _, bc := range []struct {
+		name   string
+		line   []byte
+		layout *rowLayout
+	}{
+		{"link", link, &linkLayout},
+		{"scenario", star, &scenarioLayout},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			var dst []byte
+			b.ReportAllocs()
+			b.SetBytes(int64(len(bc.line)))
+			for i := 0; i < b.N; i++ {
+				var ok bool
+				if dst, ok = spliceLine(dst[:0], 1000+i, bc.line, bc.layout); !ok {
+					b.Fatal("canonical line rejected")
+				}
+			}
+		})
+	}
+}

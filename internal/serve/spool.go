@@ -100,14 +100,15 @@ func (w *spoolWriter) addScenario(r *scenario.Row) {
 	w.next++
 }
 
-// add appends a streamed row in the schema of its job.
-func (w *spoolWriter) add(r *StreamedRow, scenarioRows bool) {
-	if scenarioRows {
-		sr := r.ScenarioRow()
-		w.addScenario(&sr)
-		return
+// splice appends a row line another daemon rendered for the same
+// configuration, renumbered to the next index (see spliceLine).
+func (w *spoolWriter) splice(line []byte, layout *rowLayout) bool {
+	buf, ok := spliceLine(w.rows.buf, w.next, line, layout)
+	if ok {
+		w.rows.buf = buf
+		w.next++
 	}
-	w.addLink(&r.Row)
+	return ok
 }
 
 // commit writes the rows added since the last commit.

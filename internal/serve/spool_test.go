@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"fmt"
 	"io"
 	"math"
 	"net/http"
@@ -155,6 +156,112 @@ func FuzzRowAppender(f *testing.F) {
 		a.scenario(index, &sr)
 		if want := appendScenarioRowJSON(nil, index, sweep.ScenarioRowFields(sr)); !bytes.Equal(a.buf, want) {
 			t.Fatalf("scenario row:\n got %s\nwant %s", a.buf, want)
+		}
+	})
+}
+
+// FuzzSpliceLine pins the coordinator's line splice: a line rowAppender
+// rendered at index i, spliced to index j, is exactly the line rendered at
+// j, for link and scenario rows alike. Every line outside the canonical
+// layout of the spool's schema — a strict prefix of the line (torn or
+// empty), JSON whitespace between tokens, an escaped key or tag, two
+// columns swapped, the other schema — is rejected and leaves the spool's
+// buffer and row count as they were. Arbitrary bytes the splice accepts
+// read back through the stream decoder's fast path as a row of that
+// schema at index j.
+func FuzzSpliceLine(f *testing.F) {
+	f.Add(0, 0, []byte{}, false, uint8(0), uint16(0))
+	f.Add(3, 1024, bytes.Repeat([]byte{0x40}, 400), true, uint8(1), uint16(77))
+	f.Add(-1, 7, bytes.Repeat([]byte{0xff}, 400), false, uint8(2), uint16(500))
+	f.Add(12, 5, bytes.Repeat([]byte{0x7f, 0xf0, 0, 0, 0, 0, 0, 0}, 60), true, uint8(3), uint16(3))
+	f.Fuzz(func(t *testing.T, i, j int, data []byte, star bool, mut uint8, at uint16) {
+		r, sr := rowsFromBits(data)
+		render := func(index int) []byte {
+			var a rowAppender
+			if star {
+				a.scenario(index, &sr)
+			} else {
+				a.link(index, &r)
+			}
+			return a.buf
+		}
+		layout, other := &linkLayout, &scenarioLayout
+		if star {
+			layout, other = other, layout
+		}
+		const prior = "prior\n"
+		splice := func(line []byte, layout *rowLayout) (spoolWriter, bool) {
+			w := spoolWriter{next: j}
+			w.rows.buf = append(w.rows.buf, prior...)
+			return w, w.splice(line, layout)
+		}
+
+		src := render(i)
+		line := src[:len(src)-1]
+		w, ok := splice(line, layout)
+		if want := render(j); !ok || string(w.rows.buf) != prior+string(want) || w.next != j+1 {
+			t.Fatalf("splice %d -> %d (ok %v, next %d):\n got %q\nwant %q", i, j, ok, w.next, w.rows.buf, prior+string(want))
+		}
+
+		// Column starts, and the bytes a rejected line is cut from.
+		starts := make([]int, 0, len(layout.keys)+1)
+		for _, key := range layout.keys {
+			starts = append(starts, bytes.Index(line, []byte(key)))
+		}
+		starts = append(starts, len(line)-1) // the closing brace
+		n := int(at)
+		k := n % len(layout.keys)
+		join := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
+		var bad []byte
+		switch mut % 5 {
+		case 0: // torn, down to empty
+			bad = line[:n%len(line)]
+		case 1: // whitespace before or after a ':' or ',' token, or inside the braces
+			var cuts []int
+			for p, c := range line {
+				if c == ':' || c == ',' {
+					cuts = append(cuts, p, p+1)
+				}
+			}
+			cuts = append(cuts, 1, len(line)-1)
+			p := cuts[n%len(cuts)]
+			bad = join(line[:p], []byte{" \t\r\n"[int(mut/5)%4]}, line[p:])
+		case 2: // a key's first letter escaped
+			p := starts[k] + 2
+			bad = join(line[:p], []byte(fmt.Sprintf(`\u%04x`, line[p])), line[p+1:])
+		case 3: // columns k and k+1 swapped
+			if k == len(layout.keys)-1 {
+				k--
+			}
+			a, b, c := starts[k], starts[k+1], starts[k+2]
+			bad = join(line[:a], line[b:c], line[a:b], line[c:])
+		case 4: // the scenario tag's first letter escaped, or a link line under the star schema
+			if !star {
+				bad = line
+				layout = other
+				break
+			}
+			p := starts[0] + len(layout.keys[0]) + 1
+			bad = join(line[:p], []byte(fmt.Sprintf(`\u%04x`, line[p])), line[p+1:])
+		}
+		if w, ok := splice(bad, layout); ok || string(w.rows.buf) != prior || w.next != j {
+			t.Fatalf("mutation %d accepted or spooled (ok %v, next %d):\n%q", mut%5, ok, w.next, bad)
+		}
+		if _, ok := splice(line, other); ok {
+			t.Fatalf("%q spliced under the other schema", line)
+		}
+
+		// Arbitrary bytes: whatever the splice takes decodes as a row of
+		// the expected schema at index j.
+		for _, layout := range []*rowLayout{&linkLayout, &scenarioLayout} {
+			out, ok := spliceLine(nil, j, data, layout)
+			if !ok {
+				continue
+			}
+			index, rec, ok := scanCanonicalRow(out[:len(out)-1])
+			if !ok || index != j || len(rec) != len(layout.keys) {
+				t.Fatalf("spliced %q to %q, which does not scan as a row at %d", data, out, j)
+			}
 		}
 	})
 }
@@ -425,13 +532,16 @@ func writeFile(t *testing.T, path string, data []byte) {
 }
 
 // stallingExecutor emits precomputed rows and never calls Commit; it parks
-// before its last row until the test lets it go.
+// before its last row until the test lets it go. Each row is rendered at
+// index 0, as a one-row shard's runner would stream it, so the splice's
+// renumbering is on the byte-identity path.
 type stallingExecutor struct {
 	rows  []sweep.Row
 	stall chan struct{}
 }
 
 func (x *stallingExecutor) ExecuteCampaign(ctx context.Context, job *ExecJob) error {
+	var a rowAppender
 	for i := job.Resume; i < len(x.rows); i++ {
 		if i == len(x.rows)-1 {
 			select {
@@ -440,7 +550,9 @@ func (x *stallingExecutor) ExecuteCampaign(ctx context.Context, job *ExecJob) er
 				return ctx.Err()
 			}
 		}
-		if err := job.Emit(StreamedRow{Index: i, Row: x.rows[i]}); err != nil {
+		a.buf = a.buf[:0]
+		a.link(0, &x.rows[i])
+		if err := job.EmitLine(i, a.buf[:len(a.buf)-1]); err != nil {
 			return err
 		}
 	}
