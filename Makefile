@@ -30,15 +30,15 @@ race:
 		./internal/adaptive \
 		./cmd/wsnsweep ./cmd/wsnlinkd ./cmd/wsnload
 
-# Fuzz smoke: every Fuzz* target in the service, sweep, phy, fabric and
-# frame packages — the spec decoders, the NDJSON row decoder and its
-# fast-path differential check, the spool's row renderer, prefix reader and
-# line splice, the CSV reader, the loss bracket against the exact Eq 3
-# decisions, the shard plan decoder, the data and ACK frame decoders — for
-# 10 s each (go test -fuzz takes one target per run). Fails when listing a
-# package fails or a package lists no Fuzz* target, so a broken package
-# cannot turn the smoke into a no-op.
-FUZZ_PKGS = ./internal/serve ./internal/sweep ./internal/phy ./internal/fabric ./internal/frame
+# Fuzz smoke: every Fuzz* target in the service, sweep, phy and fabric
+# packages — the spec decoders, the NDJSON row decoder and its fast-path
+# differential check, the spool's row renderer, prefix reader and line
+# splice, the CSV reader, the checkpoint parser, the loss bracket against
+# the exact Eq 3 decisions, the shard plan decoder — for 10 s each (go test
+# -fuzz takes one target per run). Fails when listing a package fails or a
+# package lists no Fuzz* target, so a broken package cannot turn the smoke
+# into a no-op.
+FUZZ_PKGS = ./internal/serve ./internal/sweep ./internal/phy ./internal/fabric
 
 fuzz-smoke:
 	@for pkg in $(FUZZ_PKGS); do \

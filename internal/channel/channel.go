@@ -283,18 +283,6 @@ func (l *Link) ConstantNoiseSNR(txDBm float64) float64 {
 	return l.RSSI(txDBm) - l.params.NoiseFloorMeanDBm
 }
 
-// ShadowActive reports whether a human-shadowing burst is in progress.
-func (l *Link) ShadowActive() bool { return l.shadowActive }
-
-// EffectiveSNRForPlanning returns the planning-time SNR estimate used by the
-// optimizer: mean path loss at the link's distance, the link's location
-// shadowing, and the average noise floor (no fast fading). This is what a
-// node could estimate from a window of RSSI readings.
-func (l *Link) EffectiveSNRForPlanning(txDBm float64) float64 {
-	return l.params.MeanRSSI(txDBm, l.distM) + l.locShadowDB -
-		l.params.NoiseFloorMeanDBm
-}
-
 // Quantize rounds an RSSI reading to the 1 dB register resolution of the
 // CC2420 and clamps it to the chip's reporting range.
 func Quantize(rssiDBm float64) float64 {

@@ -1,19 +1,12 @@
-// Package estimator provides the link-quality estimation building blocks a
-// deployed tuner needs. The paper's channel study concludes that "the
-// results of RSSI deviation suggest the necessity of adapting to dynamic
-// link quality for parameter tuning techniques" (Sec. III-A); this package
-// supplies the standard estimators — EWMA and windowed smoothing of
-// RSSI/SNR readings, delivery-ratio (PRR) windows with model-based SNR
-// inversion — plus a hysteresis re-tuning controller that avoids parameter
-// oscillation under fading.
+// Package estimator provides the link-quality estimation a deployed tuner
+// needs. The paper's channel study concludes that "the results of RSSI
+// deviation suggest the necessity of adapting to dynamic link quality for
+// parameter tuning techniques" (Sec. III-A); this package supplies an EWMA
+// of SNR readings and the Retuner, which re-tunes (power, payload) from the
+// empirical models when the smoothed estimate drifts beyond a dead band.
 package estimator
 
-import (
-	"errors"
-	"math"
-
-	"wsnlink/internal/models"
-)
+import "errors"
 
 // EWMA is an exponentially weighted moving average estimator.
 type EWMA struct {
@@ -51,164 +44,3 @@ func (e *EWMA) Primed() bool { return e.primed }
 
 // Reset clears the estimator.
 func (e *EWMA) Reset() { e.value, e.primed = 0, false }
-
-// Window is a fixed-size sliding window with O(1) mean and variance.
-type Window struct {
-	buf   []float64
-	head  int
-	count int
-	sum   float64
-	sumSq float64
-}
-
-// NewWindow creates a sliding window of the given size.
-func NewWindow(size int) (*Window, error) {
-	if size < 1 {
-		return nil, errors.New("estimator: window size must be >= 1")
-	}
-	return &Window{buf: make([]float64, size)}, nil
-}
-
-// Push adds a sample, evicting the oldest when full.
-func (w *Window) Push(sample float64) {
-	if w.count == len(w.buf) {
-		old := w.buf[w.head]
-		w.sum -= old
-		w.sumSq -= old * old
-	} else {
-		w.count++
-	}
-	w.buf[w.head] = sample
-	w.head = (w.head + 1) % len(w.buf)
-	w.sum += sample
-	w.sumSq += sample * sample
-}
-
-// Len returns the number of samples currently held.
-func (w *Window) Len() int { return w.count }
-
-// Full reports whether the window holds size samples.
-func (w *Window) Full() bool { return w.count == len(w.buf) }
-
-// Mean returns the window mean (0 when empty).
-func (w *Window) Mean() float64 {
-	if w.count == 0 {
-		return 0
-	}
-	return w.sum / float64(w.count)
-}
-
-// StdDev returns the window sample standard deviation (0 for < 2 samples).
-func (w *Window) StdDev() float64 {
-	if w.count < 2 {
-		return 0
-	}
-	n := float64(w.count)
-	v := (w.sumSq - w.sum*w.sum/n) / (n - 1)
-	if v < 0 {
-		return 0
-	}
-	return math.Sqrt(v)
-}
-
-// PRRWindow tracks the packet reception ratio over a sliding window of
-// delivery outcomes — the estimator a receiver-side agent can maintain with
-// sequence numbers alone.
-type PRRWindow struct {
-	w *Window
-}
-
-// NewPRRWindow creates a PRR window of the given size.
-func NewPRRWindow(size int) (*PRRWindow, error) {
-	w, err := NewWindow(size)
-	if err != nil {
-		return nil, err
-	}
-	return &PRRWindow{w: w}, nil
-}
-
-// Record adds one delivery outcome.
-func (p *PRRWindow) Record(delivered bool) {
-	v := 0.0
-	if delivered {
-		v = 1
-	}
-	p.w.Push(v)
-}
-
-// PRR returns the current reception ratio (0 when empty).
-func (p *PRRWindow) PRR() float64 { return p.w.Mean() }
-
-// Len returns the number of outcomes recorded (bounded by the window).
-func (p *PRRWindow) Len() int { return p.w.Len() }
-
-// InvertPERForSNR solves the paper's Eq. 3 for SNR given an observed PER at
-// a known payload size: SNR = ln(PER / (α·l_D)) / β. PER values at the
-// clamp boundaries carry no information; they map to the given floor or
-// ceiling SNR.
-func InvertPERForSNR(m models.PERModel, per float64, payloadBytes int, floorSNR, ceilSNR float64) float64 {
-	if payloadBytes < 1 {
-		payloadBytes = 1
-	}
-	if per <= 0 {
-		return ceilSNR
-	}
-	if per >= 1 {
-		return floorSNR
-	}
-	snr := math.Log(per/(m.Law.Alpha*float64(payloadBytes))) / m.Law.Beta
-	if snr < floorSNR {
-		return floorSNR
-	}
-	if snr > ceilSNR {
-		return ceilSNR
-	}
-	return snr
-}
-
-// Hysteresis is a two-threshold controller: it reports an "up" action when
-// the estimate falls below Low, a "down" action when it rises above High,
-// and holds in between — the standard guard against parameter oscillation
-// on a fading link.
-type Hysteresis struct {
-	Low, High float64
-}
-
-// Action is a controller decision.
-type Action int
-
-// Controller actions.
-const (
-	Hold Action = iota + 1
-	StepUp
-	StepDown
-)
-
-// String implements fmt.Stringer.
-func (a Action) String() string {
-	switch a {
-	case Hold:
-		return "hold"
-	case StepUp:
-		return "step-up"
-	case StepDown:
-		return "step-down"
-	default:
-		return "unknown"
-	}
-}
-
-// Decide returns the action for the current estimate.
-func (h Hysteresis) Decide(estimate float64) Action {
-	switch {
-	case estimate < h.Low:
-		return StepUp
-	case estimate > h.High:
-		return StepDown
-	default:
-		return Hold
-	}
-}
-
-// Valid reports whether the band is well-formed.
-func (h Hysteresis) Valid() bool { return h.High > h.Low }

@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand/v2"
 	"testing"
-	"testing/quick"
 
 	"wsnlink/internal/models"
 )
@@ -58,162 +57,6 @@ func TestEWMASmoothing(t *testing.T) {
 	e.Update(100)
 	if e.Value() > 15 {
 		t.Errorf("outlier moved estimate to %v", e.Value())
-	}
-}
-
-func TestWindowBasics(t *testing.T) {
-	if _, err := NewWindow(0); err == nil {
-		t.Error("size 0 should error")
-	}
-	w, err := NewWindow(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if w.Mean() != 0 || w.StdDev() != 0 || w.Len() != 0 || w.Full() {
-		t.Error("empty window state wrong")
-	}
-	w.Push(1)
-	w.Push(2)
-	w.Push(3)
-	if !w.Full() || w.Mean() != 2 {
-		t.Errorf("mean = %v, full = %v", w.Mean(), w.Full())
-	}
-	// Eviction: pushing 7 evicts 1 → window {2,3,7}, mean 4.
-	w.Push(7)
-	if w.Mean() != 4 {
-		t.Errorf("mean after eviction = %v, want 4", w.Mean())
-	}
-	if w.Len() != 3 {
-		t.Errorf("Len = %d", w.Len())
-	}
-}
-
-func TestWindowMatchesBatchStats(t *testing.T) {
-	f := func(raw []float64, sizeRaw uint8) bool {
-		size := 1 + int(sizeRaw%32)
-		w, err := NewWindow(size)
-		if err != nil {
-			return false
-		}
-		var kept []float64
-		for _, x := range raw {
-			x = math.Mod(x, 1000)
-			if math.IsNaN(x) {
-				continue
-			}
-			w.Push(x)
-			kept = append(kept, x)
-			if len(kept) > size {
-				kept = kept[1:]
-			}
-			// Compare streaming stats with a batch recomputation.
-			var sum float64
-			for _, v := range kept {
-				sum += v
-			}
-			mean := sum / float64(len(kept))
-			if math.Abs(w.Mean()-mean) > 1e-6 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestWindowStdDev(t *testing.T) {
-	w, _ := NewWindow(5)
-	for _, x := range []float64{2, 4, 4, 4, 6} {
-		w.Push(x)
-	}
-	// Sample variance = (4+0+0+0+4)/4 = 2.
-	if math.Abs(w.StdDev()-math.Sqrt(2)) > 1e-9 {
-		t.Errorf("StdDev = %v, want sqrt(2)", w.StdDev())
-	}
-	one, _ := NewWindow(4)
-	one.Push(5)
-	if one.StdDev() != 0 {
-		t.Error("single sample stddev should be 0")
-	}
-}
-
-func TestPRRWindow(t *testing.T) {
-	if _, err := NewPRRWindow(0); err == nil {
-		t.Error("size 0 should error")
-	}
-	p, err := NewPRRWindow(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p.Record(true)
-	p.Record(true)
-	p.Record(false)
-	p.Record(true)
-	if got := p.PRR(); got != 0.75 {
-		t.Errorf("PRR = %v, want 0.75", got)
-	}
-	// Sliding: four more successes push the failure out.
-	for i := 0; i < 4; i++ {
-		p.Record(true)
-	}
-	if got := p.PRR(); got != 1 {
-		t.Errorf("PRR after slide = %v, want 1", got)
-	}
-	if p.Len() != 4 {
-		t.Errorf("Len = %d", p.Len())
-	}
-}
-
-func TestInvertPERForSNR(t *testing.T) {
-	m := models.PaperPER()
-	// Round trip: SNR → PER → SNR.
-	for _, snr := range []float64{6, 10, 15, 20} {
-		per := m.PER(110, snr)
-		got := InvertPERForSNR(m, per, 110, 0, 40)
-		if math.Abs(got-snr) > 1e-9 {
-			t.Errorf("inversion at %v dB = %v", snr, got)
-		}
-	}
-	// Degenerate observations map to the bounds.
-	if got := InvertPERForSNR(m, 0, 110, 0, 40); got != 40 {
-		t.Errorf("PER 0 → %v, want ceiling", got)
-	}
-	if got := InvertPERForSNR(m, 1, 110, 0, 40); got != 0 {
-		t.Errorf("PER 1 → %v, want floor", got)
-	}
-	if got := InvertPERForSNR(m, 0.5, 0, 0, 40); got < 0 || got > 40 {
-		t.Errorf("payload clamp broken: %v", got)
-	}
-}
-
-func TestHysteresis(t *testing.T) {
-	h := Hysteresis{Low: 10, High: 20}
-	if !h.Valid() {
-		t.Error("valid band rejected")
-	}
-	if (Hysteresis{Low: 5, High: 5}).Valid() {
-		t.Error("empty band accepted")
-	}
-	tests := []struct {
-		est  float64
-		want Action
-	}{
-		{5, StepUp}, {10, Hold}, {15, Hold}, {20, Hold}, {25, StepDown},
-	}
-	for _, tt := range tests {
-		if got := h.Decide(tt.est); got != tt.want {
-			t.Errorf("Decide(%v) = %v, want %v", tt.est, got, tt.want)
-		}
-	}
-	for _, a := range []Action{Hold, StepUp, StepDown} {
-		if a.String() == "unknown" {
-			t.Errorf("action %d unnamed", a)
-		}
-	}
-	if Action(0).String() != "unknown" {
-		t.Error("zero action should be unknown")
 	}
 }
 

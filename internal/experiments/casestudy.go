@@ -6,7 +6,6 @@ import (
 
 	"wsnlink/internal/models"
 	"wsnlink/internal/optimize"
-	"wsnlink/internal/phy"
 )
 
 // TableIVRow is one tuning method's outcome on the case-study link.
@@ -133,11 +132,3 @@ func (r TableIVResult) Render(w io.Writer) {
 			e.UEngMicroJ, e.GoodputKbps, e.Candidate)
 	}
 }
-
-// caseStudySNR documents the case-study anchoring for reuse in examples.
-const (
-	// CaseStudyRefPower and CaseStudyRefSNR anchor the Sec. VIII-C link:
-	// SNR 3 dB at P_tx 23.
-	CaseStudyRefPower = phy.PowerLevel(23)
-	CaseStudyRefSNR   = 3.0
-)

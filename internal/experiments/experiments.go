@@ -119,20 +119,6 @@ func (s Series) YMax() (x, y float64) {
 	return s.X[bi], s.Y[bi]
 }
 
-// YMin returns the minimum y value and its x position (0,0 when empty).
-func (s Series) YMin() (x, y float64) {
-	if len(s.Y) == 0 {
-		return 0, 0
-	}
-	bi := 0
-	for i, v := range s.Y {
-		if v < s.Y[bi] {
-			bi = i
-		}
-	}
-	return s.X[bi], s.Y[bi]
-}
-
 // Comparison pairs a paper-reported value with the regenerated one.
 type Comparison struct {
 	Name     string

@@ -31,9 +31,6 @@ func TestSeriesExtremes(t *testing.T) {
 	if x, y := s.YMax(); x != 2 || y != 9 {
 		t.Errorf("YMax = (%v,%v)", x, y)
 	}
-	if x, y := s.YMin(); x != 3 || y != 2 {
-		t.Errorf("YMin = (%v,%v)", x, y)
-	}
 }
 
 func TestComparisonRelErr(t *testing.T) {

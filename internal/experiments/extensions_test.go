@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -59,7 +60,7 @@ func TestExtMobility(t *testing.T) {
 	}
 	// The walk spans near and far: SNR range must be wide.
 	_, ymax := r.SNRAlongWalk.YMax()
-	_, ymin := r.SNRAlongWalk.YMin()
+	ymin := slices.Min(r.SNRAlongWalk.Y)
 	if ymax-ymin < 15 {
 		t.Errorf("SNR swing along walk = %v dB, want wide", ymax-ymin)
 	}

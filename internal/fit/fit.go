@@ -201,29 +201,3 @@ func rmseExp(samples []Sample, m ExpModel) float64 {
 	}
 	return math.Sqrt(ss / float64(n))
 }
-
-// PowerLawFit fits y = a * x^b by log-log linear regression. Used for the
-// path-loss exponent estimate (RSSI vs log-distance is linear in dB, but the
-// helper is kept general for diagnostic use).
-func PowerLawFit(xs, ys []float64) (a, b float64, err error) {
-	if len(xs) != len(ys) {
-		return 0, 0, errors.New("fit: length mismatch")
-	}
-	lx := make([]float64, 0, len(xs))
-	ly := make([]float64, 0, len(ys))
-	for i := range xs {
-		if xs[i] <= 0 || ys[i] <= 0 {
-			continue
-		}
-		lx = append(lx, math.Log(xs[i]))
-		ly = append(ly, math.Log(ys[i]))
-	}
-	if len(lx) < 2 {
-		return 0, 0, ErrTooFewSamples
-	}
-	lin, err := stats.LinearRegression(lx, ly)
-	if err != nil {
-		return 0, 0, err
-	}
-	return math.Exp(lin.Intercept), lin.Slope, nil
-}

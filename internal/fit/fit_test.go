@@ -138,27 +138,3 @@ func TestExpModelMonotonicity(t *testing.T) {
 		}
 	}
 }
-
-func TestPowerLawFit(t *testing.T) {
-	xs := []float64{1, 2, 4, 8, 16}
-	ys := make([]float64, len(xs))
-	for i, x := range xs {
-		ys[i] = 3 * math.Pow(x, -2.19)
-	}
-	a, b, err := PowerLawFit(xs, ys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(a-3) > 1e-9 || math.Abs(b-(-2.19)) > 1e-9 {
-		t.Errorf("PowerLawFit = %v, %v; want 3, -2.19", a, b)
-	}
-}
-
-func TestPowerLawFitErrors(t *testing.T) {
-	if _, _, err := PowerLawFit([]float64{1}, []float64{1, 2}); err == nil {
-		t.Error("length mismatch should error")
-	}
-	if _, _, err := PowerLawFit([]float64{-1, 0}, []float64{1, 2}); err != ErrTooFewSamples {
-		t.Errorf("err = %v, want ErrTooFewSamples (all filtered)", err)
-	}
-}

@@ -17,9 +17,6 @@ type DelayModel struct {
 	Service ServiceModel
 }
 
-// PaperDelay returns the delay model with published constants.
-func PaperDelay() DelayModel { return DelayModel{Service: PaperService()} }
-
 // Estimate holds the model's delay decomposition for one operating point.
 type DelayEstimate struct {
 	// ServiceTime is the capped expected T_service in seconds.

@@ -5,8 +5,11 @@ import (
 	"testing"
 )
 
+// paperDelay is the delay model with the published constants.
+func paperDelay() DelayModel { return DelayModel{Service: PaperService()} }
+
 func TestDelayEstimateSaturated(t *testing.T) {
-	m := PaperDelay()
+	m := paperDelay()
 	est := m.Estimate(110, 20, 0.030, 3, 30, 0)
 	if !math.IsInf(est.Utilization, 1) {
 		t.Errorf("saturated utilization = %v, want +Inf", est.Utilization)
@@ -20,7 +23,7 @@ func TestDelayEstimateSaturated(t *testing.T) {
 }
 
 func TestDelayEstimateStableRegime(t *testing.T) {
-	m := PaperDelay()
+	m := paperDelay()
 	// Table II SNR 20 row: ρ ≈ 0.713 at T_pkt = 30 ms.
 	est := m.Estimate(110, 20, 0.030, 3, 30, 0.030)
 	if est.Utilization >= 1 || est.Utilization < 0.6 {
@@ -40,7 +43,7 @@ func TestDelayEstimateStableRegime(t *testing.T) {
 }
 
 func TestDelayEstimateOverload(t *testing.T) {
-	m := PaperDelay()
+	m := paperDelay()
 	// Table II SNR 10 row: ρ ≈ 1.236.
 	est := m.Estimate(110, 10, 0.030, 3, 30, 0.030)
 	if est.Utilization <= 1 {
@@ -59,7 +62,7 @@ func TestDelayEstimateNearSaturationBlowup(t *testing.T) {
 	// The paper: delay "increases extremely quickly when ρ → 1". The wait
 	// at ρ = 0.95 must dwarf the wait at ρ = 0.5 (same service time, vary
 	// the interval), until the finite queue caps it.
-	m := PaperDelay()
+	m := paperDelay()
 	ts := m.Service.ExpectedCapped(110, 25, 0, 3)
 	waitAt := func(rho float64) float64 {
 		return m.Estimate(110, 25, 0, 3, 1000, ts/rho).QueueWait
@@ -75,7 +78,7 @@ func TestDelayEstimateNearSaturationBlowup(t *testing.T) {
 }
 
 func TestDelayEstimateQueueCapFloor(t *testing.T) {
-	m := PaperDelay()
+	m := paperDelay()
 	a := m.Estimate(110, 20, 0, 3, 0, 0.030) // illegal cap clamps to 1
 	b := m.Estimate(110, 20, 0, 3, 1, 0.030)
 	if a != b {
@@ -84,7 +87,7 @@ func TestDelayEstimateQueueCapFloor(t *testing.T) {
 }
 
 func TestDelayStable(t *testing.T) {
-	m := PaperDelay()
+	m := paperDelay()
 	// Table II: SNR 20 stable, SNR 10 unstable at T_pkt 30 ms.
 	if !m.Stable(110, 20, 0.030, 3, 0.030) {
 		t.Error("SNR 20 should be stable")

@@ -162,28 +162,3 @@ func (s HistogramSnapshot) Quantile(q float64) float64 {
 	}
 	return s.Bounds[len(s.Bounds)-1]
 }
-
-// Merge combines two snapshots of histograms with identical bounds. It is
-// commutative and associative: merge(a,b) == merge(b,a) field for field.
-func Merge(a, b HistogramSnapshot) (HistogramSnapshot, error) {
-	if len(a.Bounds) != len(b.Bounds) {
-		return HistogramSnapshot{}, fmt.Errorf("obs: merge of mismatched histograms (%d vs %d bounds)",
-			len(a.Bounds), len(b.Bounds))
-	}
-	for i := range a.Bounds {
-		if a.Bounds[i] != b.Bounds[i] {
-			return HistogramSnapshot{}, fmt.Errorf("obs: merge of mismatched histograms (bound %d: %g vs %g)",
-				i, a.Bounds[i], b.Bounds[i])
-		}
-	}
-	out := HistogramSnapshot{
-		Bounds: append([]float64(nil), a.Bounds...),
-		Counts: make([]int64, len(a.Counts)),
-		Count:  a.Count + b.Count,
-		Sum:    a.Sum + b.Sum,
-	}
-	for i := range out.Counts {
-		out.Counts[i] = a.Counts[i] + b.Counts[i]
-	}
-	return out, nil
-}

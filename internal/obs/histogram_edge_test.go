@@ -85,51 +85,3 @@ func TestQuantileEdgeCases(t *testing.T) {
 		}
 	})
 }
-
-// TestMergeMismatchedBounds pins that Merge refuses histograms with
-// different layouts instead of silently mis-binning.
-func TestMergeMismatchedBounds(t *testing.T) {
-	a := mustHistogram([]float64{1, 2}).Snapshot()
-	shorter := mustHistogram([]float64{1}).Snapshot()
-	if _, err := Merge(a, shorter); err == nil {
-		t.Fatal("merge with fewer bounds must fail")
-	}
-	shifted := mustHistogram([]float64{1, 3}).Snapshot()
-	if _, err := Merge(a, shifted); err == nil {
-		t.Fatal("merge with shifted bounds must fail")
-	}
-	// Order must not matter for the error either.
-	if _, err := Merge(shorter, a); err == nil {
-		t.Fatal("merge with more bounds must fail")
-	}
-
-	// And a sane merge still works, including overflow mass.
-	h1 := mustHistogram([]float64{1, 2})
-	h1.Observe(0.5)
-	h1.Observe(9)
-	h2 := mustHistogram([]float64{1, 2})
-	h2.Observe(1.5)
-	m, err := Merge(h1.Snapshot(), h2.Snapshot())
-	if err != nil {
-		t.Fatalf("Merge: %v", err)
-	}
-	if m.Count != 3 || m.Counts[0] != 1 || m.Counts[1] != 1 || m.Counts[2] != 1 {
-		t.Fatalf("merged = %+v", m)
-	}
-	if m.Sum != 0.5+9+1.5 {
-		t.Fatalf("merged sum = %g", m.Sum)
-	}
-}
-
-// TestMergeEmptySnapshots covers merging zero-value snapshots — the state
-// a histogram family is in before any observation.
-func TestMergeEmptySnapshots(t *testing.T) {
-	var a, b HistogramSnapshot
-	m, err := Merge(a, b)
-	if err != nil {
-		t.Fatalf("merging two zero snapshots: %v", err)
-	}
-	if m.Count != 0 || len(m.Counts) != 0 {
-		t.Fatalf("merged zero snapshots = %+v", m)
-	}
-}

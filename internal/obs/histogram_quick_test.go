@@ -3,7 +3,6 @@ package obs
 import (
 	"math"
 	"math/rand/v2"
-	"reflect"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -91,45 +90,6 @@ func TestHistogramCDFMonotone(t *testing.T) {
 	}
 	if err := quick.Check(prop, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestHistogramMergeCommutative(t *testing.T) {
-	prop := func(rawBounds, obsA, obsB []float64) bool {
-		bounds := genBounds(rawBounds)
-		ha, hb := mustHistogram(bounds), mustHistogram(bounds)
-		for _, v := range clampObs(obsA) {
-			ha.Observe(v)
-		}
-		for _, v := range clampObs(obsB) {
-			hb.Observe(v)
-		}
-		a, b := ha.Snapshot(), hb.Snapshot()
-		ab, err1 := Merge(a, b)
-		ba, err2 := Merge(b, a)
-		if err1 != nil || err2 != nil {
-			return false
-		}
-		if !reflect.DeepEqual(ab, ba) {
-			return false
-		}
-		// Merging also conserves counts.
-		return ab.Count == a.Count+b.Count
-	}
-	if err := quick.Check(prop, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestHistogramMergeMismatchedBounds(t *testing.T) {
-	a := mustHistogram([]float64{1, 2}).Snapshot()
-	b := mustHistogram([]float64{1, 3}).Snapshot()
-	if _, err := Merge(a, b); err == nil {
-		t.Error("merge with mismatched bounds should error")
-	}
-	c := mustHistogram([]float64{1}).Snapshot()
-	if _, err := Merge(a, c); err == nil {
-		t.Error("merge with mismatched bound count should error")
 	}
 }
 

@@ -105,11 +105,11 @@ func splitmix64(z uint64) uint64 {
 	return z ^ z>>31
 }
 
-// SpanBase derives the per-configuration span namespace from the campaign
+// spanBase derives the per-configuration span namespace from the campaign
 // fingerprint (the same value the checkpoint sidecar and the run manifest
 // record) and the configuration index. It is the configIndex-dependent half
 // of PacketSpanID, hoisted so the per-packet derivation is one round.
-func SpanBase(fingerprint uint64, configIndex int) uint64 {
+func spanBase(fingerprint uint64, configIndex int) uint64 {
 	return splitmix64(fingerprint ^ splitmix64(uint64(configIndex)))
 }
 
@@ -117,7 +117,7 @@ func SpanBase(fingerprint uint64, configIndex int) uint64 {
 // f(campaign fingerprint, configuration index, packet ID) and nothing else,
 // so traces are stable across kill-and-resume and across worker counts.
 func PacketSpanID(fingerprint uint64, configIndex, packetID int) uint64 {
-	return splitmix64(SpanBase(fingerprint, configIndex) ^ uint64(packetID))
+	return splitmix64(spanBase(fingerprint, configIndex) ^ uint64(packetID))
 }
 
 // DefaultTraceCapacity is the ring size CLIs use when none is given:
@@ -160,7 +160,7 @@ func (t *Tracer) Span(fingerprint uint64, configIndex int) *SpanContext {
 	}
 	return &SpanContext{
 		t:      t,
-		base:   SpanBase(fingerprint, configIndex),
+		base:   spanBase(fingerprint, configIndex),
 		config: int32(configIndex),
 	}
 }

@@ -39,14 +39,8 @@ func NewFIFO[T any](capacity int) (*FIFO[T], error) {
 	return &FIFO[T]{buf: make([]T, capacity), max: capacity}, nil
 }
 
-// Capacity returns the configured Q_max.
-func (q *FIFO[T]) Capacity() int { return q.max }
-
 // Len returns the current occupancy.
 func (q *FIFO[T]) Len() int { return q.count }
-
-// Full reports whether the queue is at capacity.
-func (q *FIFO[T]) Full() bool { return q.count == q.max }
 
 // Empty reports whether the queue holds no elements.
 func (q *FIFO[T]) Empty() bool { return q.count == 0 }
@@ -81,24 +75,5 @@ func (q *FIFO[T]) Pop() (T, error) {
 	return v, nil
 }
 
-// Peek returns the oldest element without removing it.
-func (q *FIFO[T]) Peek() (T, error) {
-	var zero T
-	if q.count == 0 {
-		return zero, ErrEmpty
-	}
-	return q.buf[q.head], nil
-}
-
 // Stats returns a copy of the lifetime statistics.
 func (q *FIFO[T]) Stats() Stats { return q.stats }
-
-// DropRate returns the fraction of offered packets that were dropped
-// (PLR_queue for this queue). Zero offered packets yields zero.
-func (q *FIFO[T]) DropRate() float64 {
-	offered := q.stats.Enqueued + q.stats.Dropped
-	if offered == 0 {
-		return 0
-	}
-	return float64(q.stats.Dropped) / float64(offered)
-}

@@ -21,8 +21,6 @@ import (
 // for the same fingerprint: every writer is writing the same bytes and the
 // last atomic rename wins.
 type BlobStore interface {
-	// Has reports whether a dataset exists for the fingerprint.
-	Has(fp string) bool
 	// Open returns the dataset for reading; os.ErrNotExist if absent.
 	Open(fp string) (io.ReadCloser, error)
 	// Publish stores the dataset under the fingerprint, atomically: a
@@ -55,11 +53,6 @@ func newDirBlobStoreFS(dir string, fsys fsOps) (*DirBlobStore, error) {
 
 func (b *DirBlobStore) path(fp string) string {
 	return filepath.Join(b.dir, fp+datasetExt)
-}
-
-func (b *DirBlobStore) Has(fp string) bool {
-	_, err := b.fs.Stat(b.path(fp))
-	return err == nil
 }
 
 func (b *DirBlobStore) Open(fp string) (io.ReadCloser, error) {
@@ -111,7 +104,7 @@ func (s *Store) EnsureCached(fp string) (ok, fetched bool) {
 	if s.HasCache(fp) {
 		return true, false
 	}
-	if s.blobs == nil || !s.blobs.Has(fp) {
+	if s.blobs == nil {
 		return false, false
 	}
 	src, err := s.blobs.Open(fp)

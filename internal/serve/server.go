@@ -755,8 +755,18 @@ func (s *Server) finishJob(e *jobEntry, err error) {
 	checkpoint := e.prog.Snapshot().Done
 	s.tel.jobFinished(now-e.job.StartedMs, requeued)
 	s.queueDepthLocked()
+	// The end is logged before s.mu is released, so a client that sees the
+	// job's new state can already read its line.
 	if requeued {
 		s.store.PutJob(e.job) //nolint:errcheck // state change is also in memory
+		// The drain audit trail: which jobs went back to the queue and how
+		// many rows their checkpoints hold, so an operator can verify the
+		// next daemon start resumes from exactly here.
+		s.log.Info("job requeued with checkpoint",
+			obs.LogKeyJob, e.job.ID,
+			obs.LogKeyFingerprint, e.job.Fingerprint,
+			obs.LogKeyScenario, string(e.job.Spec.ScenarioKind()),
+			"checkpoint", checkpoint)
 	} else {
 		// The final record carries everything statusLocked reads from the
 		// live run, so the entry can leave memory and the job still
@@ -770,18 +780,6 @@ func (s *Server) finishJob(e *jobEntry, err error) {
 		rec.Metrics = st.Metrics
 		// A failed write keeps the entry in memory, where the state is.
 		e.durable = s.store.PutJob(&rec) == nil
-	}
-	s.mu.Unlock()
-	if requeued {
-		// The drain audit trail: which jobs went back to the queue and how
-		// many rows their checkpoints hold, so an operator can verify the
-		// next daemon start resumes from exactly here.
-		s.log.Info("job requeued with checkpoint",
-			obs.LogKeyJob, e.job.ID,
-			obs.LogKeyFingerprint, e.job.Fingerprint,
-			obs.LogKeyScenario, string(e.job.Spec.ScenarioKind()),
-			"checkpoint", checkpoint)
-	} else {
 		attrs := []any{
 			obs.LogKeyJob, e.job.ID,
 			obs.LogKeyFingerprint, e.job.Fingerprint,
@@ -793,6 +791,7 @@ func (s *Server) finishJob(e *jobEntry, err error) {
 		}
 		s.log.Info("campaign finished", attrs...)
 	}
+	s.mu.Unlock()
 	e.notify.Broadcast()
 }
 

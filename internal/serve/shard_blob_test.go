@@ -10,7 +10,6 @@ import (
 // failingBlobStore rejects every publish — the outage case.
 type failingBlobStore struct{}
 
-func (failingBlobStore) Has(string) bool { return false }
 func (failingBlobStore) Open(string) (io.ReadCloser, error) {
 	return nil, errors.New("blob store down")
 }
@@ -123,9 +122,11 @@ func TestBlobStoreSharedCacheTier(t *testing.T) {
 	waitFor(t, "campaign done on a", func() bool {
 		return mustStatus(t, a, stA.ID).State == StateDone
 	})
-	if !blobs.Has(stA.Fingerprint) {
-		t.Fatal("promoted dataset was not published to the blob tier")
+	published, err := blobs.Open(stA.Fingerprint)
+	if err != nil {
+		t.Fatalf("promoted dataset was not published to the blob tier: %v", err)
 	}
+	published.Close()
 
 	stB, err := b.Submit(spec)
 	if err != nil {

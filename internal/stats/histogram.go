@@ -3,7 +3,6 @@ package stats
 import (
 	"errors"
 	"fmt"
-	"sort"
 )
 
 // Histogram is a fixed-width bin histogram over [Lo, Hi). Samples outside the
@@ -92,43 +91,4 @@ func (h *Histogram) Mode() (float64, error) {
 		return 0, ErrEmpty
 	}
 	return h.BinCenter(best), nil
-}
-
-// ECDF is an empirical cumulative distribution function built from a sample.
-type ECDF struct {
-	sorted []float64
-}
-
-// NewECDF builds an ECDF from xs (copied and sorted).
-func NewECDF(xs []float64) (*ECDF, error) {
-	if len(xs) == 0 {
-		return nil, ErrEmpty
-	}
-	s := make([]float64, len(xs))
-	copy(s, xs)
-	sort.Float64s(s)
-	return &ECDF{sorted: s}, nil
-}
-
-// At returns P(X <= x).
-func (e *ECDF) At(x float64) float64 {
-	// sort.SearchFloat64s returns the first index with sorted[i] >= x; we
-	// want the count of values <= x, so search for the first value > x.
-	n := sort.Search(len(e.sorted), func(i int) bool { return e.sorted[i] > x })
-	return float64(n) / float64(len(e.sorted))
-}
-
-// Quantile returns the q-th quantile (0 <= q <= 1) by nearest rank.
-func (e *ECDF) Quantile(q float64) float64 {
-	if q <= 0 {
-		return e.sorted[0]
-	}
-	if q >= 1 {
-		return e.sorted[len(e.sorted)-1]
-	}
-	i := int(q * float64(len(e.sorted)))
-	if i >= len(e.sorted) {
-		i = len(e.sorted) - 1
-	}
-	return e.sorted[i]
 }

@@ -11,7 +11,6 @@ type LinearFit struct {
 	Slope      float64
 	Intercept  float64
 	R2         float64 // coefficient of determination
-	SlopeSE    float64 // standard error of the slope
 	ResidualSD float64 // standard deviation of residuals
 	N          int
 }
@@ -49,30 +48,14 @@ func LinearRegression(xs, ys []float64) (LinearFit, error) {
 		r2 = 1 - ssRes/syy
 	}
 	residSD := 0.0
-	slopeSE := 0.0
 	if n > 2 {
 		residSD = math.Sqrt(ssRes / float64(n-2))
-		slopeSE = residSD / math.Sqrt(sxx)
 	}
 	return LinearFit{
 		Slope:      slope,
 		Intercept:  intercept,
 		R2:         r2,
-		SlopeSE:    slopeSE,
 		ResidualSD: residSD,
 		N:          n,
 	}, nil
-}
-
-// Slope95CI returns the approximate 95% confidence interval of the slope
-// using the normal approximation (adequate for the sample sizes produced by
-// the sweep pipeline).
-func (f LinearFit) Slope95CI() (lo, hi float64) {
-	const z = 1.959963984540054
-	return f.Slope - z*f.SlopeSE, f.Slope + z*f.SlopeSE
-}
-
-// Predict evaluates the fitted line at x.
-func (f LinearFit) Predict(x float64) float64 {
-	return f.Slope*x + f.Intercept
 }

@@ -1,6 +1,6 @@
 // Package stats implements the descriptive statistics used by the wsnlink
-// measurement pipeline: moments, order statistics, histograms, empirical
-// CDFs, correlation and simple linear regression with confidence intervals.
+// measurement pipeline: moments, percentiles, histograms, binomial
+// confidence intervals and simple linear regression.
 //
 // The functions operate on plain []float64 and never mutate their inputs
 // unless documented otherwise. NaN handling is the caller's responsibility;
@@ -50,34 +50,6 @@ func StdDev(xs []float64) float64 {
 	return math.Sqrt(Variance(xs))
 }
 
-// Min returns the minimum of xs. It returns ErrEmpty for an empty slice.
-func Min(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m, nil
-}
-
-// Max returns the maximum of xs. It returns ErrEmpty for an empty slice.
-func Max(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m, nil
-}
-
 // Percentile returns the p-th percentile (0 <= p <= 100) of xs using linear
 // interpolation between closest ranks. It copies and sorts internally.
 func Percentile(xs []float64, p float64) (float64, error) {
@@ -101,67 +73,4 @@ func Percentile(xs []float64, p float64) (float64, error) {
 	}
 	frac := rank - float64(lo)
 	return sorted[lo]*(1-frac) + sorted[hi]*frac, nil
-}
-
-// Median returns the 50th percentile of xs.
-func Median(xs []float64) (float64, error) {
-	return Percentile(xs, 50)
-}
-
-// Summary bundles the descriptive statistics most experiment tables need.
-type Summary struct {
-	N      int
-	Mean   float64
-	StdDev float64
-	Min    float64
-	Max    float64
-	P50    float64
-	P95    float64
-	P99    float64
-}
-
-// Summarize computes a Summary of xs. It returns ErrEmpty for empty input.
-func Summarize(xs []float64) (Summary, error) {
-	if len(xs) == 0 {
-		return Summary{}, ErrEmpty
-	}
-	mn, _ := Min(xs)
-	mx, _ := Max(xs)
-	p50, _ := Percentile(xs, 50)
-	p95, _ := Percentile(xs, 95)
-	p99, _ := Percentile(xs, 99)
-	return Summary{
-		N:      len(xs),
-		Mean:   Mean(xs),
-		StdDev: StdDev(xs),
-		Min:    mn,
-		Max:    mx,
-		P50:    p50,
-		P95:    p95,
-		P99:    p99,
-	}, nil
-}
-
-// Correlation returns the Pearson correlation coefficient between xs and ys.
-// It returns an error if the slices differ in length, are shorter than two
-// elements, or either has zero variance.
-func Correlation(xs, ys []float64) (float64, error) {
-	if len(xs) != len(ys) {
-		return 0, errors.New("stats: length mismatch")
-	}
-	if len(xs) < 2 {
-		return 0, errors.New("stats: need at least two samples")
-	}
-	mx, my := Mean(xs), Mean(ys)
-	var sxy, sxx, syy float64
-	for i := range xs {
-		dx, dy := xs[i]-mx, ys[i]-my
-		sxy += dx * dy
-		sxx += dx * dx
-		syy += dy * dy
-	}
-	if sxx == 0 || syy == 0 {
-		return 0, errors.New("stats: zero variance")
-	}
-	return sxy / math.Sqrt(sxx*syy), nil
 }

@@ -3,6 +3,7 @@ package sweep
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash"
 	"hash/fnv"
@@ -55,51 +56,59 @@ func LoadCheckpoint(path string) (Checkpoint, error) {
 }
 
 // loadCheckpoint also returns the byte offset of the end of the last valid
-// line, so resume can truncate torn trailing data before appending. Only
-// newline-terminated lines count: a torn final line is never trusted, even
-// when its prefix happens to parse.
+// line, so resume can truncate torn trailing data before appending.
 func loadCheckpoint(path string) (Checkpoint, int64, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return Checkpoint{}, 0, fmt.Errorf("sweep: checkpoint: %w", err)
 	}
+	ck, offset, err := parseCheckpoint(data)
+	if err != nil {
+		return Checkpoint{}, 0, fmt.Errorf("sweep: checkpoint %s: %w", path, err)
+	}
+	return ck, int64(offset), nil
+}
 
+// appendCheckpointHeader appends the two header lines a fresh checkpoint
+// starts with.
+func appendCheckpointHeader(b []byte, fingerprint uint64, configs int) []byte {
+	return fmt.Appendf(b, "%s\nfingerprint %016x configs %d\n", checkpointMagic, fingerprint, configs)
+}
+
+// parseCheckpoint reads a checkpoint sidecar's bytes and returns the length
+// of its valid prefix. It accepts only the bytes the writer emits: the
+// header of appendCheckpointHeader, then the indices 0, 1, 2, ... in
+// canonical decimal, one per newline-terminated line. The first line that
+// is torn or is not the next index ends the prefix, even when its leading
+// bytes would parse; a missing, torn or non-canonical header is an error.
+func parseCheckpoint(data []byte) (Checkpoint, int, error) {
+	magic, rest, ok := bytes.Cut(data, []byte("\n"))
+	if ok && string(magic) != checkpointMagic {
+		return Checkpoint{}, 0, errors.New("not a checkpoint file")
+	}
+	line, _, ok := bytes.Cut(rest, []byte("\n"))
+	if !ok {
+		return Checkpoint{}, 0, errors.New("truncated header")
+	}
 	var ck Checkpoint
-	var offset int64
-	line := 0
-	for len(data) > 0 {
-		nl := bytes.IndexByte(data, '\n')
-		if nl < 0 {
-			break // torn trailing line: end of the valid prefix
-		}
-		text := string(data[:nl])
-		data = data[nl+1:]
-		line++
-		switch line {
-		case 1:
-			if text != checkpointMagic {
-				return Checkpoint{}, 0, fmt.Errorf("sweep: %s is not a checkpoint file", path)
-			}
-		case 2:
-			if _, err := fmt.Sscanf(text, "fingerprint %016x configs %d",
-				&ck.Fingerprint, &ck.Configs); err != nil {
-				return Checkpoint{}, 0, fmt.Errorf("sweep: checkpoint %s: bad header: %w", path, err)
-			}
-		default:
-			idx, err := strconv.Atoi(text)
-			if err != nil || idx != ck.Done {
-				// Corrupt or out-of-sequence entry: treat as end of the
-				// valid prefix and ignore the rest.
-				return ck, offset, nil
-			}
-			ck.Done++
-		}
-		offset += int64(nl) + 1
+	offset := len(magic) + len(line) + 2
+	// Scan loosely, then require the values to re-render to the very bytes
+	// read: that rejects short or upper-case hex, signs, leading zeros and
+	// trailing junk.
+	_, err := fmt.Sscanf(string(line), "fingerprint %x configs %d", &ck.Fingerprint, &ck.Configs)
+	if err != nil || ck.Configs < 0 ||
+		!bytes.Equal(appendCheckpointHeader(nil, ck.Fingerprint, ck.Configs), data[:offset]) {
+		return Checkpoint{}, 0, fmt.Errorf("bad header %.64q", line)
 	}
-	if line < 2 {
-		return Checkpoint{}, 0, fmt.Errorf("sweep: checkpoint %s: truncated header", path)
+	var next []byte
+	for {
+		next = append(strconv.AppendInt(next[:0], int64(ck.Done), 10), '\n')
+		if !bytes.HasPrefix(data[offset:], next) {
+			return ck, offset, nil
+		}
+		offset += len(next)
+		ck.Done++
 	}
-	return ck, offset, nil
 }
 
 // CampaignFingerprint returns the campaign identity hash the checkpoint
@@ -189,8 +198,7 @@ func openCheckpoint(path string, fingerprint uint64, configs int, resume bool) (
 		if err != nil {
 			return nil, fmt.Errorf("sweep: checkpoint: %w", err)
 		}
-		if _, err := fmt.Fprintf(f, "%s\nfingerprint %016x configs %d\n",
-			checkpointMagic, fingerprint, configs); err != nil {
+		if _, err := f.Write(appendCheckpointHeader(nil, fingerprint, configs)); err != nil {
 			f.Close()
 			return nil, fmt.Errorf("sweep: checkpoint: %w", err)
 		}

@@ -1,9 +1,11 @@
 package sweep
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -142,4 +144,45 @@ func TestCampaignFingerprintSensitivity(t *testing.T) {
 	if campaignFingerprint(cfgs, cosmetic) != fp {
 		t.Error("fingerprint depends on non-identity knobs")
 	}
+}
+
+// FuzzCheckpointPrefix feeds the checkpoint parser arbitrary bytes. Whatever
+// it accepts must be what the writer would emit for the parsed checkpoint —
+// the header, then the indices 0 through Done-1 — byte for byte up to the
+// returned offset, so resume never truncates to, or appends after, a line
+// the writer did not write.
+func FuzzCheckpointPrefix(f *testing.F) {
+	good := header(0xabcd, 10) + "0\n1\n2\n"
+	for _, seed := range []string{
+		good,
+		good + "3",                 // torn tail
+		good + "03\n",              // leading zero
+		good + "+3\n",              // sign
+		good + "3 \n",              // trailing junk
+		header(0xabcd, 10) + "1\n", // out of sequence
+		checkpointMagic + "\nfingerprint abcd configs 10\n0\n",                 // short hex
+		checkpointMagic + "\nfingerprint 000000000000ABCD configs 10\n0\n",     // upper-case hex
+		checkpointMagic + "\nfingerprint 000000000000abcd configs -3\n0\n",     // negative count
+		checkpointMagic + "\nfingerprint 000000000000abcd configs +5\n0\n",     // signed count
+		checkpointMagic + "\nfingerprint 000000000000abcd configs 5 junk\n0\n", // trailing junk
+		checkpointMagic + "\n",
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		ck, offset, err := parseCheckpoint(data)
+		if err != nil {
+			return
+		}
+		if offset > len(data) {
+			t.Fatalf("offset %d past the %d input bytes", offset, len(data))
+		}
+		want := appendCheckpointHeader(nil, ck.Fingerprint, ck.Configs)
+		for i := 0; i < ck.Done; i++ {
+			want = append(strconv.AppendInt(want, int64(i), 10), '\n')
+		}
+		if !bytes.Equal(want, data[:offset]) {
+			t.Fatalf("accepted prefix %q re-renders as %q", data[:offset], want)
+		}
+	})
 }

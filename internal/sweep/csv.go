@@ -182,13 +182,8 @@ func (e *csvEncoder[R]) Flush() error {
 
 // WriteCSV writes the dataset with a header row — the batch convenience
 // over Encoder.
-func WriteCSV(w io.Writer, rows []Row) error { return linkCSV.write(w, rows) }
-
-// WriteScenarioCSV writes a scenario dataset with a header row.
-func WriteScenarioCSV(w io.Writer, rows []scenario.Row) error { return scenarioCSV.write(w, rows) }
-
-func (s *csvSchema[R]) write(w io.Writer, rows []R) error {
-	e := s.newEncoder(w)
+func WriteCSV(w io.Writer, rows []Row) error {
+	e := NewEncoder(w)
 	if err := e.WriteHeader(); err != nil {
 		return err
 	}
@@ -203,7 +198,7 @@ func (s *csvSchema[R]) write(w io.Writer, rows []R) error {
 // ReadCSV parses a dataset written by WriteCSV.
 func ReadCSV(r io.Reader) ([]Row, error) { return linkCSV.read(r, -1) }
 
-// ReadScenarioCSV parses a scenario dataset written by WriteScenarioCSV.
+// ReadScenarioCSV parses a scenario dataset written by a ScenarioEncoder.
 func ReadScenarioCSV(r io.Reader) ([]scenario.Row, error) { return scenarioCSV.read(r, -1) }
 
 // ReadCSVHead parses at most n rows and ignores anything after them —

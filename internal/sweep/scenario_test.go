@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"io"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -289,6 +290,20 @@ func TestStreamScenariosDeterministicAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
+// writeScenarioCSV writes rows with a header row through a ScenarioEncoder.
+func writeScenarioCSV(w io.Writer, rows []scenario.Row) error {
+	e := NewScenarioEncoder(w)
+	if err := e.WriteHeader(); err != nil {
+		return err
+	}
+	for _, r := range rows {
+		if err := e.Encode(r); err != nil {
+			return err
+		}
+	}
+	return e.Flush()
+}
+
 // TestScenarioCSVRoundTrip: the scenario codec is byte-stable across all
 // kinds — encode, decode, re-encode reproduces identical bytes.
 func TestScenarioCSVRoundTrip(t *testing.T) {
@@ -303,7 +318,7 @@ func TestScenarioCSVRoundTrip(t *testing.T) {
 		rows = append(rows, part...)
 	}
 	var buf bytes.Buffer
-	if err := WriteScenarioCSV(&buf, rows); err != nil {
+	if err := writeScenarioCSV(&buf, rows); err != nil {
 		t.Fatal(err)
 	}
 	first := buf.String()
@@ -320,7 +335,7 @@ func TestScenarioCSVRoundTrip(t *testing.T) {
 		}
 	}
 	var buf2 bytes.Buffer
-	if err := WriteScenarioCSV(&buf2, decoded); err != nil {
+	if err := writeScenarioCSV(&buf2, decoded); err != nil {
 		t.Fatal(err)
 	}
 	if first != buf2.String() {
@@ -340,7 +355,7 @@ func TestScenarioCSVRejectsBadInput(t *testing.T) {
 	row := scenario.Row{Scenario: scenario.KindLink, Config: scenarioConfigs()[0],
 		Seed: 1, Packets: 10}
 	var buf bytes.Buffer
-	if err := WriteScenarioCSV(&buf, []scenario.Row{row}); err != nil {
+	if err := writeScenarioCSV(&buf, []scenario.Row{row}); err != nil {
 		t.Fatal(err)
 	}
 	// Header from the link schema must be rejected.

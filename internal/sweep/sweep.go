@@ -320,14 +320,3 @@ func ToObservations(rows []Row) []models.Observation {
 	}
 	return out
 }
-
-// Filter returns the rows matching pred.
-func Filter(rows []Row, pred func(Row) bool) []Row {
-	var out []Row
-	for _, r := range rows {
-		if pred(r) {
-			out = append(out, r)
-		}
-	}
-	return out
-}

@@ -231,14 +231,3 @@ func TestSweepCalibrationPipeline(t *testing.T) {
 		t.Errorf("calibrated alpha = %v, want near 0.0128", res.PERFit.Alpha)
 	}
 }
-
-func TestFilter(t *testing.T) {
-	rows := []Row{
-		{Config: stack.Config{PayloadBytes: 20}},
-		{Config: stack.Config{PayloadBytes: 110}},
-	}
-	got := Filter(rows, func(r Row) bool { return r.Config.PayloadBytes > 50 })
-	if len(got) != 1 || got[0].Config.PayloadBytes != 110 {
-		t.Errorf("Filter = %v", got)
-	}
-}

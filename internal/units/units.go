@@ -1,6 +1,6 @@
 // Package units provides the small physical-unit conversions used across the
-// wsnlink radio stack: decibel arithmetic, dBm/milliwatt conversions, and a
-// few numeric helpers that keep call sites free of ad-hoc math.
+// wsnlink radio stack: decibel arithmetic, dBm/milliwatt conversions, and
+// clamping.
 //
 // Conventions:
 //   - Power ratios are expressed in dB (float64).
@@ -29,15 +29,6 @@ func DBToLinear(db float64) float64 {
 	return math.Pow(10, db/10)
 }
 
-// LinearToDB converts a linear power ratio to dB.
-// Non-positive inputs map to -Inf.
-func LinearToDB(ratio float64) float64 {
-	if ratio <= 0 {
-		return math.Inf(-1)
-	}
-	return 10 * math.Log10(ratio)
-}
-
 // AddPowersDBm sums two absolute powers expressed in dBm in the linear
 // domain and returns the sum in dBm. Useful for combining a noise floor with
 // an interference component.
@@ -54,31 +45,4 @@ func Clamp(v, lo, hi float64) float64 {
 		return hi
 	}
 	return v
-}
-
-// ClampInt limits v to the inclusive range [lo, hi].
-func ClampInt(v, lo, hi int) int {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
-}
-
-// ApproxEqual reports whether a and b differ by at most tol.
-func ApproxEqual(a, b, tol float64) bool {
-	return math.Abs(a-b) <= tol
-}
-
-// RelErr returns the relative error |a-b| / max(|b|, eps). It is used by
-// experiment validation code to compare measured values against the paper's
-// reported numbers without dividing by zero.
-func RelErr(a, b float64) float64 {
-	denom := math.Abs(b)
-	if denom < 1e-12 {
-		denom = 1e-12
-	}
-	return math.Abs(a-b) / denom
 }
